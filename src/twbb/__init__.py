@@ -8,14 +8,7 @@ Quick start::
     report.best_width   # 2, with report.optimal True
 """
 
-from .bounds import (
-    LowerBoundResult,
-    mcs_lb,
-    mcs_lb_max,
-    minor_min_width,
-    minwidth_lb,
-    state_lower_bound,
-)
+from .bounds import mcs_lb, mcs_lb_max, minor_min_width, minwidth_lb
 from .decomposition import (
     TreeDecomposition,
     ValidationReport,
@@ -52,7 +45,7 @@ from .heuristics import (
     min_width_order,
 )
 from .oracle import OracleResult, exact_treewidth, exact_treewidth_permutations
-from .reduction import ReductionOutcome, apply_reductions, edge_addition, reduce_state
+from .reduction import ReductionOutcome, reduce_state
 from .solver import (
     RunReport,
     SearchState,
@@ -60,7 +53,6 @@ from .solver import (
     expand,
     prune_fill_subset,
     prune_mutual_simplicial,
-    prune_sibling_order,
     solve,
 )
 
@@ -71,7 +63,6 @@ __all__ = [
     "Graph",
     "GraphError",
     "HeuristicConfig",
-    "LowerBoundResult",
     "OracleResult",
     "ParseError",
     "PartialKTreeSpec",
@@ -82,11 +73,9 @@ __all__ = [
     "SolverConfig",
     "TreeDecomposition",
     "ValidationReport",
-    "apply_reductions",
     "best_upper_bound",
     "build_decomposition",
     "connected_components",
-    "edge_addition",
     "exact_treewidth",
     "exact_treewidth_permutations",
     "expand",
@@ -108,11 +97,9 @@ __all__ = [
     "parse_pace_td",
     "prune_fill_subset",
     "prune_mutual_simplicial",
-    "prune_sibling_order",
     "queen_graph",
     "reduce_state",
     "solve",
-    "state_lower_bound",
     "triangulate",
     "validate_decomposition",
     "width_of_order",

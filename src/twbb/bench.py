@@ -100,9 +100,9 @@ def run_family(spec, count: int = 30, seed0: int = 0, cfg: SolverConfig | None =
             optimal=report.optimal,
             nodes=report.nodes_expanded,
             elapsed=round(report.elapsed, 6),
-            mw=minwidth_lb(g).value,
-            mcslb=mcs_lb(g).value,
-            mmw=minor_min_width(g).value,
+            mw=minwidth_lb(g),
+            mcslb=mcs_lb(g),
+            mmw=minor_min_width(g),
             config=tag,
         )
 

@@ -12,117 +12,42 @@ input and treewidth never goes up under minors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import Graph, GraphError, bits, _contract_in_place
+from .heuristics import max_cardinality_sweep, min_degree_sweep
 
 
-@dataclass(frozen=True)
-class LowerBoundResult:
-    value: int
-    witness: tuple | None = None
-
-
-def minwidth_lb(g: Graph, trace: bool = False) -> LowerBoundResult:
+def minwidth_lb(g: Graph) -> int:
     """Max degree at removal time under repeated minimum-degree removal."""
-    adj = list(g._adj)
-    active = g.active_mask
-    value = 0
-    events = [] if trace else None
-    while active:
-        v, dv = -1, None
-        for x in bits(active):
-            d = adj[x].bit_count()
-            if dv is None or d < dv:
-                dv, v = d, x
-        if dv > value:
-            value = dv
-        if events is not None:
-            events.append(("remove", v, dv))
-        bv = 1 << v
-        for u in bits(adj[v]):
-            adj[u] &= ~bv
-        adj[v] = 0
-        active &= ~bv
-    return LowerBoundResult(value, tuple(events) if events is not None else None)
+    return min_degree_sweep(g)[1]
 
 
-def mcs_lb(g: Graph, start: int | None = None, trace: bool = False) -> LowerBoundResult:
+def mcs_lb(g: Graph, start: int | None = None) -> int:
     """Max number of already-labeled neighbors during a max-cardinality sweep.
 
     start defaults to the lowest active vertex id.
     """
-    if len(g) == 0:
-        return LowerBoundResult(0, () if trace else None)
-    if start is None:
-        start = (g.active_mask & -g.active_mask).bit_length() - 1
-    else:
-        g._require_active(start)
-    adj = g._adj
-    active = g.active_mask
-    count = [0] * g.n
-    labeled = 0
-    value = 0
-    events = [] if trace else None
-    cur = start
-    while True:
-        if count[cur] > value:
-            value = count[cur]
-        if events is not None:
-            events.append(("visit", cur, count[cur]))
-        labeled |= 1 << cur
-        for w in bits(adj[cur] & active & ~labeled):
-            count[w] += 1
-        remaining = active & ~labeled
-        if not remaining:
-            break
-        best, best_c = -1, -1
-        for w in bits(remaining):
-            if count[w] > best_c:
-                best_c, best = count[w], w
-        cur = best
-    return LowerBoundResult(value, tuple(events) if events is not None else None)
+    return max_cardinality_sweep(g, start)[1]
 
 
-def mcs_lb_max(g: Graph, restarts: int = 1) -> LowerBoundResult:
+def mcs_lb_max(g: Graph, restarts: int = 1) -> int:
     """Best mcs_lb over the first `restarts` active vertices as starts."""
     if restarts < 1:
         raise GraphError("restarts must be at least 1")
-    starts = g.vertices[:restarts]
-    if not starts:
-        return LowerBoundResult(0, None)
-    best = None
-    for s in starts:
-        r = mcs_lb(g, s)
-        if best is None or r.value > best.value:
-            best = r
-    return best
+    return max((mcs_lb(g, s) for s in g.vertices[:restarts]), default=0)
 
 
-def minor_min_width(g: Graph, trace: bool = False) -> LowerBoundResult:
+def minor_min_width(g: Graph, cap: int | None = None) -> int:
     """Lower bound via repeated contraction of a min-degree vertex.
 
     Each round picks the minimum-degree vertex v (ties lowest id), records
     v's current degree, and contracts v's minimum-degree neighbor into v.
     Isolated vertices are dropped and contribute nothing.
+
+    cap, when given, allows an early return with any value >= cap; the
+    search only ever compares the result against cap (its pruning bound).
     """
     adj = list(g._adj)
     active = g.active_mask
-    events = [] if trace else None
-    value = _mmw_value(adj, active, None, events)
-    return LowerBoundResult(value, tuple(events) if events is not None else None)
-
-
-def state_lower_bound(g: Graph, cap: int | None = None) -> int:
-    """minor_min_width as a plain integer; the search's h function.
-
-    cap, when given, allows an early return with any value >= cap; callers
-    only ever compare the result against cap (their pruning bound).
-    """
-    return _mmw_value(list(g._adj), g.active_mask, cap, None)
-
-
-def _mmw_value(adj: list[int], active: int, cap: int | None, events) -> int:
     value = 0
     while active:
         v, dv = -1, None
@@ -131,8 +56,6 @@ def _mmw_value(adj: list[int], active: int, cap: int | None, events) -> int:
             if dv is None or d < dv:
                 dv, v = d, x
         if dv == 0:
-            if events is not None:
-                events.append(("isolate", v))
             adj[v] = 0
             active &= ~(1 << v)
             continue
@@ -145,8 +68,6 @@ def _mmw_value(adj: list[int], active: int, cap: int | None, events) -> int:
             d = adj[x].bit_count()
             if du is None or d < du:
                 du, u = d, x
-        if events is not None:
-            events.append(("contract", v, u, dv))
         _contract_in_place(adj, v, u)
         active &= ~(1 << u)
     return value

@@ -128,10 +128,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bounds(args) -> int:
     g = _read_graph(args.file)
-    mw = minwidth_lb(g).value
-    mcs1 = mcs_lb(g).value
-    mcs_best = mcs_lb_max(g, restarts=args.mcs_restarts).value
-    mmw = minor_min_width(g).value
+    mw = minwidth_lb(g)
+    mcs1 = mcs_lb(g)
+    mcs_best = mcs_lb_max(g, restarts=args.mcs_restarts)
+    mmw = minor_min_width(g)
     if args.json:
         print(
             json.dumps(

@@ -13,8 +13,15 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, bits, clique_in_masks, _eliminate_in_place
-from .heuristics import EliminationOrder, max_cardinality_order
+from .graph import (
+    Graph,
+    _eliminate_in_place,
+    bits,
+    check_permutation,
+    clique_in_masks,
+    fill_edges_in_masks,
+)
+from .heuristics import EliminationOrder, max_cardinality_sweep
 
 __all__ = [
     "TreeDecomposition",
@@ -60,16 +67,6 @@ def _order_vertices(order) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _check_permutation(g: Graph, vs: tuple[int, ...]) -> None:
-    seen = 0
-    for v in vs:
-        if not 0 <= v < g.n or not g.has_vertex(v) or (seen >> v) & 1:
-            raise GraphError(f"order is not a permutation of the active vertices: {vs}")
-        seen |= 1 << v
-    if seen != g.active_mask:
-        raise GraphError(f"order is not a permutation of the active vertices: {vs}")
-
-
 def triangulate(g: Graph, order) -> Graph:
     """Add the fill edges produced by eliminating along ``order``.
 
@@ -77,18 +74,11 @@ def triangulate(g: Graph, order) -> Graph:
     elimination order.
     """
     vs = _order_vertices(order)
-    _check_permutation(g, vs)
+    check_permutation(g, vs)
     adj = list(g._adj)
     fills = []
     for v in vs:
-        nb = adj[v]
-        rest = nb
-        while rest:
-            low = rest & -rest
-            u = low.bit_length() - 1
-            rest ^= low
-            for w in bits(rest & ~adj[u]):
-                fills.append((u, w))
+        fills.extend(fill_edges_in_masks(adj, v))
         _eliminate_in_place(adj, v)
     return g.with_edges(fills) if fills else g
 
@@ -96,7 +86,7 @@ def triangulate(g: Graph, order) -> Graph:
 def is_perfect_elimination_order(g: Graph, order) -> bool:
     """True when each vertex is simplicial among the vertices after it."""
     vs = _order_vertices(order)
-    _check_permutation(g, vs)
+    check_permutation(g, vs)
     remaining = g.active_mask
     adj = g._adj
     for v in vs:
@@ -108,10 +98,9 @@ def is_perfect_elimination_order(g: Graph, order) -> bool:
 
 def is_chordal(g: Graph) -> bool:
     """Max-cardinality-search chordality test."""
-    if not g.active_mask:
-        return True
-    order = max_cardinality_order(g)
-    return is_perfect_elimination_order(g, order.vertices)
+    visit, _ = max_cardinality_sweep(g)
+    visit.reverse()
+    return is_perfect_elimination_order(g, visit)
 
 
 def build_decomposition(g: Graph, order) -> TreeDecomposition:
@@ -123,7 +112,7 @@ def build_decomposition(g: Graph, order) -> TreeDecomposition:
     even when the graph is not.
     """
     vs = _order_vertices(order)
-    _check_permutation(g, vs)
+    check_permutation(g, vs)
     if not vs:
         return TreeDecomposition((), ())
     h = triangulate(g, vs)

@@ -138,25 +138,12 @@ class Graph:
     def fill_edges(self, v: int) -> set[tuple[int, int]]:
         """Pairs of v's neighbors that eliminating v would have to connect."""
         self._require_active(v)
-        nb = self._adj[v]
-        out = set()
-        rest = nb
-        while rest:
-            low = rest & -rest
-            u = low.bit_length() - 1
-            rest ^= low
-            for k in bits(rest & ~self._adj[u]):
-                out.add((u, k))
-        return out
+        return set(fill_edges_in_masks(self._adj, v))
 
     def fill_count(self, v: int) -> int:
         """Number of fill edges eliminating v would create."""
         self._require_active(v)
-        nb = self._adj[v]
-        missing = 0
-        for u in bits(nb):
-            missing += (nb & ~self._adj[u] & ~(1 << u)).bit_count()
-        return missing // 2
+        return fill_count_in_masks(self._adj, v)
 
     # -- rewriting -----------------------------------------------------
 
@@ -181,11 +168,8 @@ class Graph:
         """Remove v without adding fill edges."""
         self._require_active(v)
         adj = list(self._adj)
-        bv = 1 << v
-        for u in bits(adj[v]):
-            adj[u] &= ~bv
-        adj[v] = 0
-        return Graph._from_masks(self.n, adj, self._active & ~bv)
+        _remove_in_place(adj, v)
+        return Graph._from_masks(self.n, adj, self._active & ~(1 << v))
 
     def with_edges(self, extra: Iterable[tuple[int, int]]) -> "Graph":
         """A copy with the given edges added (endpoints must be active)."""
@@ -233,6 +217,28 @@ def clique_in_masks(adj: list[int], vertices_mask: int) -> bool:
     return True
 
 
+def fill_edges_in_masks(adj: list[int], v: int) -> list[tuple[int, int]]:
+    """Pairs (u, w), u < w, of v's neighbors that eliminating v would connect."""
+    out = []
+    rest = adj[v]
+    while rest:
+        low = rest & -rest
+        u = low.bit_length() - 1
+        rest ^= low
+        for w in bits(rest & ~adj[u]):
+            out.append((u, w))
+    return out
+
+
+def fill_count_in_masks(adj: list[int], v: int) -> int:
+    """Number of fill edges eliminating v would create in ``adj``."""
+    nb = adj[v]
+    missing = 0
+    for u in bits(nb):
+        missing += (nb & ~adj[u] & ~(1 << u)).bit_count()
+    return missing // 2
+
+
 def almost_simplicial_in_masks(adj: list[int], v: int) -> bool:
     """Mask-level almost-simplicial test shared by Graph and the reductions."""
     nb = adj[v]
@@ -278,6 +284,13 @@ def _eliminate_in_place(adj: list[int], v: int) -> None:
     adj[v] = 0
 
 
+def _remove_in_place(adj: list[int], v: int) -> None:
+    bv = 1 << v
+    for u in bits(adj[v]):
+        adj[u] &= ~bv
+    adj[v] = 0
+
+
 def _contract_in_place(adj: list[int], v: int, u: int) -> None:
     bu, bv = 1 << u, 1 << v
     for w in bits(adj[u] & ~bv):
@@ -286,18 +299,23 @@ def _contract_in_place(adj: list[int], v: int, u: int) -> None:
     adj[u] = 0
 
 
+def check_permutation(g: Graph, order: Sequence[int]) -> None:
+    """Raise GraphError unless order lists each active vertex of g once."""
+    seen = 0
+    for v in order:
+        if not (0 <= v < g.n) or (seen >> v) & 1:
+            raise GraphError(f"order is not a permutation of the active vertices: {order}")
+        seen |= 1 << v
+    if seen != g.active_mask:
+        raise GraphError(f"order is not a permutation of the active vertices: {order}")
+
+
 def width_of_order(g: Graph, order: Sequence[int]) -> int:
     """Width of an elimination order: the largest degree at elimination time.
 
     order must be a permutation of g's active vertices.
     """
-    seen = 0
-    for v in order:
-        if not (0 <= v < g.n) or (seen >> v) & 1:
-            raise GraphError("order is not a permutation of the active vertices")
-        seen |= 1 << v
-    if seen != g.active_mask:
-        raise GraphError("order is not a permutation of the active vertices")
+    check_permutation(g, order)
     adj = list(g._adj)
     width = 0
     for v in order:

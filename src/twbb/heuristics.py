@@ -13,7 +13,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, bits, width_of_order, _eliminate_in_place
+from .graph import (
+    Graph,
+    GraphError,
+    _eliminate_in_place,
+    _remove_in_place,
+    bits,
+    fill_count_in_masks,
+    width_of_order,
+)
 
 KINDS = ("min-fill", "min-width", "max-cardinality")
 
@@ -48,30 +56,16 @@ class HeuristicConfig:
             raise GraphError("runs must be at least 1")
 
 
-def _fill_count(adj: list[int], v: int) -> int:
-    nb = adj[v]
-    missing = 0
-    for u in bits(nb):
-        missing += (nb & ~adj[u] & ~(1 << u)).bit_count()
-    return missing // 2
-
-
 def _pick_min(values, keys, rng):
-    """Index of the minimum key; ties go to the rng or to the first (lowest id)."""
+    """The value with the minimum key; ties go to the rng or to the first (lowest id)."""
     best_key = None
-    if rng is None:
-        best = None
-        for v, k in zip(values, keys):
-            if best_key is None or k < best_key:
-                best_key, best = k, v
-        return best
     ties = []
     for v, k in zip(values, keys):
         if best_key is None or k < best_key:
             best_key, ties = k, [v]
         elif k == best_key:
             ties.append(v)
-    return ties[0] if len(ties) == 1 else rng.choice(ties)
+    return ties[0] if rng is None or len(ties) == 1 else rng.choice(ties)
 
 
 def min_fill_order(g: Graph, rng: random.Random | None = None) -> EliminationOrder:
@@ -84,7 +78,7 @@ def min_fill_order(g: Graph, rng: random.Random | None = None) -> EliminationOrd
     active = g.active_mask
     fill = [0] * g.n
     for v in bits(active):
-        fill[v] = _fill_count(adj, v)
+        fill[v] = fill_count_in_masks(adj, v)
     order = []
     width = 0
     while active:
@@ -104,33 +98,48 @@ def min_fill_order(g: Graph, rng: random.Random | None = None) -> EliminationOrd
         for a in bits(nb):
             affected |= adj[a]
         for x in bits(affected & active):
-            fill[x] = _fill_count(adj, x)
+            fill[x] = fill_count_in_masks(adj, x)
     return EliminationOrder(tuple(order), width)
+
+
+def min_degree_sweep(
+    g: Graph, rng: random.Random | None = None
+) -> tuple[list[int], int]:
+    """Repeatedly remove a minimum-degree vertex without adding fill.
+
+    Returns the removal order and the largest degree a vertex had when it
+    was removed.  Ties go to the lowest id, or to rng when given.
+    """
+    adj = list(g._adj)
+    active = g.active_mask
+    order = []
+    value = 0
+    while active:
+        vs = list(bits(active))
+        v = _pick_min(vs, (adj[x].bit_count() for x in vs), rng)
+        d = adj[v].bit_count()
+        if d > value:
+            value = d
+        _remove_in_place(adj, v)
+        active &= ~(1 << v)
+        order.append(v)
+    return order, value
 
 
 def min_width_order(g: Graph, rng: random.Random | None = None) -> EliminationOrder:
     """Order by repeated minimum-degree removal (no fill during selection)."""
-    adj = list(g._adj)
-    active = g.active_mask
-    order = []
-    while active:
-        vs = list(bits(active))
-        v = _pick_min(vs, (adj[x].bit_count() for x in vs), rng)
-        bv = 1 << v
-        for u in bits(adj[v]):
-            adj[u] &= ~bv
-        adj[v] = 0
-        active &= ~bv
-        order.append(v)
+    order, _ = min_degree_sweep(g, rng)
     return EliminationOrder(tuple(order), width_of_order(g, order))
 
 
-def max_cardinality_order(g: Graph, start: int | None = None) -> EliminationOrder:
-    """Label vertices by descending position, always visiting the vertex
-    with the most labeled neighbors (ties lowest id); eliminate in reverse
-    visit order."""
+def max_cardinality_sweep(g: Graph, start: int | None = None) -> tuple[list[int], int]:
+    """Visit vertices by most already-visited neighbors (ties lowest id).
+
+    Returns the visit order and the largest visited-neighbor count a
+    vertex had when visited.  start defaults to the lowest active id.
+    """
     if len(g) == 0:
-        return EliminationOrder((), 0)
+        return [], 0
     if start is None:
         start = g.active_mask & -g.active_mask
         start = start.bit_length() - 1
@@ -140,21 +149,29 @@ def max_cardinality_order(g: Graph, start: int | None = None) -> EliminationOrde
     active = g.active_mask
     count = [0] * g.n
     visit = []
+    value = 0
     labeled = 0
     cur = start
     while True:
+        if count[cur] > value:
+            value = count[cur]
         visit.append(cur)
         labeled |= 1 << cur
         for w in bits(adj[cur] & active & ~labeled):
             count[w] += 1
         remaining = active & ~labeled
         if not remaining:
-            break
+            return visit, value
         best, best_c = -1, -1
         for w in bits(remaining):
             if count[w] > best_c:
                 best_c, best = count[w], w
         cur = best
+
+
+def max_cardinality_order(g: Graph, start: int | None = None) -> EliminationOrder:
+    """Eliminate in reverse max-cardinality visit order."""
+    visit, _ = max_cardinality_sweep(g, start)
     visit.reverse()
     return EliminationOrder(tuple(visit), width_of_order(g, visit))
 

@@ -10,7 +10,10 @@ Two sound rewrites shrink a state before it is branched on:
   create that edge anyway.
 
 Both preserve the state's optimal completion width, so a solver may apply
-them eagerly.  ``reduce_state`` runs the two to a joint fixed point.
+them eagerly.  ``_reduce_masks`` runs the two to a joint fixed point on
+scratch adjacency masks; the solver calls it directly on every child, and
+``reduce_state`` is the same fixed point on a Graph, with either rule
+switchable off, for the oracle cross-checks.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .graph import (
     clique_in_masks,
 )
 
-__all__ = ["ReductionOutcome", "apply_reductions", "edge_addition", "reduce_state"]
+__all__ = ["ReductionOutcome", "reduce_state"]
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,15 @@ class ReductionOutcome:
         return bool(self.forced_prefix or self.edges_added)
 
 
+def forced_in_masks(adj: list[int], v: int, lb: int) -> bool:
+    """True when v may be eliminated first: it is simplicial, or almost
+    simplicial with degree at most lb (a lower bound on the answer)."""
+    nb = adj[v]
+    if clique_in_masks(adj, nb):
+        return True
+    return nb.bit_count() <= lb and almost_simplicial_in_masks(adj, v)
+
+
 def _reduction_sweep(
     adj: list[int], active: int, g_value: int, lb: int, forced: list[int]
 ) -> tuple[int, int, int | None]:
@@ -65,13 +77,9 @@ def _reduction_sweep(
     while True:
         fired = False
         for v in bits(active):
-            nb = adj[v]
-            if clique_in_masks(adj, nb):
-                pass
-            elif nb.bit_count() <= lb and almost_simplicial_in_masks(adj, v):
-                pass
-            else:
+            if not forced_in_masks(adj, v, lb):
                 continue
+            nb = adj[v]
             deg = nb.bit_count()
             if deg > g_value:
                 g_value = deg
@@ -110,36 +118,6 @@ def _edge_addition_sweep(
         any_added = True
 
 
-def apply_reductions(g: Graph, g_value: int = 0, lb: int = 0) -> ReductionOutcome:
-    """Eliminate simplicial and low-degree almost-simplicial vertices.
-
-    A simplicial vertex is always eliminated; an almost-simplicial vertex
-    only when its degree is at most lb.  lb must be a valid lower bound on
-    the state's answer, i.e. on max(g_value, treewidth of g).
-    """
-    adj = list(g._adj)
-    forced: list[int] = []
-    active, g_value, _ = _reduction_sweep(adj, g.active_mask, g_value, lb, forced)
-    if not forced:
-        return ReductionOutcome(g, (), g_value, frozenset())
-    reduced = Graph._from_masks(g.n, adj, active)
-    return ReductionOutcome(reduced, tuple(forced), g_value, frozenset())
-
-
-def edge_addition(g: Graph, ub: int) -> tuple[Graph, frozenset[tuple[int, int]]]:
-    """Add all edges between vertices with at least ub + 1 common neighbors.
-
-    Runs to a fixed point (added edges can create new qualifying pairs).
-    Sound when ub is the width of some known elimination order: a better
-    order must stay below ub + 1, and any such order fills these edges in.
-    """
-    adj = list(g._adj)
-    added: list[tuple[int, int]] = []
-    if not _edge_addition_sweep(adj, g.active_mask, ub, added):
-        return g, frozenset()
-    return Graph._from_masks(g.n, adj, g.active_mask), frozenset(added)
-
-
 def _reduce_masks(
     adj: list[int],
     active: int,
@@ -149,7 +127,12 @@ def _reduce_masks(
     do_reductions: bool,
     do_edge_addition: bool,
 ) -> tuple[int, int, list[int], list[tuple[int, int]], int | None]:
-    """Joint fixed point over scratch masks; shared by reduce_state and solve."""
+    """Joint fixed point over scratch masks, updated in place.
+
+    Returns the new active mask, the new g value, the forced eliminations,
+    the added edges, and the neighborhood mask of the last forced vertex
+    (None when nothing was forced).
+    """
     forced: list[int] = []
     added: list[tuple[int, int]] = []
     last_nb = None

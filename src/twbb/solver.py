@@ -10,11 +10,12 @@ still yields a valid order; running to completion proves optimality.
 Candidate branches are filtered by four independent rules before
 elimination: restriction to non-neighbors of the last eliminated vertex,
 a forbidden list that stops re-eliminating a vertex already explored at
-an earlier sibling while its neighborhood is unchanged, dropping one of
-two candidates that each make the other simplicial-or-almost-simplicial,
-and dropping candidates whose fill edges contain a sibling's.  Surviving
-children are then shrunk by the forced-elimination and forced-edge rules
-before being bounded.
+an earlier sibling while its neighborhood is unchanged, keeping one
+minimum-degree member of each group of candidates whose eliminations
+leave each other forced (simplicial, or almost simplicial with degree
+at most the state's f), and dropping candidates whose fill edges contain
+a sibling's.  Surviving children are then shrunk by the forced-elimination
+and forced-edge rules before being bounded.
 """
 
 from __future__ import annotations
@@ -22,10 +23,18 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .bounds import mcs_lb, minwidth_lb, state_lower_bound
-from .graph import Graph, GraphError, bits, connected_components
+from .bounds import mcs_lb, minwidth_lb
+from .bounds import minor_min_width as state_lower_bound
+from .graph import (
+    Graph,
+    GraphError,
+    _eliminate_in_place,
+    bits,
+    connected_components,
+    fill_edges_in_masks,
+)
 from .heuristics import EliminationOrder, HeuristicConfig, best_upper_bound
-from .reduction import _reduce_masks
+from .reduction import _reduce_masks, forced_in_masks
 
 __all__ = [
     "LB_KINDS",
@@ -35,7 +44,6 @@ __all__ = [
     "expand",
     "prune_fill_subset",
     "prune_mutual_simplicial",
-    "prune_sibling_order",
     "solve",
 ]
 
@@ -83,11 +91,6 @@ class SearchState:
     h drops, so f >= max(g, h) with equality except after such a drop.
     last is the most recently eliminated vertex (branching or forced) and
     last_neighborhood its neighborhood mask at elimination time.
-    forbidden holds (vertex, neighborhood-snapshot) pairs recorded when an
-    earlier sibling finished exploring that vertex; re-eliminating it
-    while its neighborhood still equals the snapshot cannot lead anywhere
-    new.  The engine extends this set dynamically as siblings conclude;
-    states built by hand carry a fixed view.
     """
 
     graph: Graph
@@ -97,7 +100,6 @@ class SearchState:
     f: int
     last: int | None = None
     last_neighborhood: int = 0
-    forbidden: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass
@@ -123,75 +125,73 @@ def _h_factory(kind: str):
     if kind == "mmw":
         return state_lower_bound
     if kind == "mcslb":
-        return lambda g, cap=None: mcs_lb(g).value
+        return lambda g, cap=None: mcs_lb(g)
     if kind == "mw":
-        return lambda g, cap=None: minwidth_lb(g).value
+        return lambda g, cap=None: minwidth_lb(g)
     raise GraphError(f"unknown lower bound kind: {kind!r}")
 
 
-def prune_sibling_order(candidate: int, s: SearchState) -> bool:
-    """True when the candidate's elimination is covered by an earlier sibling.
+def prune_mutual_simplicial(candidates: list[int], g: Graph, lb: int) -> list[int]:
+    """Keep one candidate of each group whose eliminations force each other.
 
-    Fires when the candidate was fully explored as an earlier child of an
-    ancestor and its neighborhood here still equals the recorded
-    snapshot.  Right after that sibling this holds automatically whenever
-    the two vertices are non-adjacent; adjacent pairs (where re-ordering
-    is not known to be safe) never match because the neighborhood lost
-    the sibling vertex.
-    """
-    a = s.graph._adj[candidate]
-    for v, snap in s.forbidden:
-        if v == candidate and a == snap:
-            return True
-    return False
+    A makes B when, after eliminating A, the reductions may eliminate B
+    next: B is simplicial, or almost simplicial with degree at most lb.
+    lb must not exceed the width of any completion of the state; the
+    solver passes the state's f.  A and B are linked when each makes the
+    other.  Candidates are taken by ascending (degree, id); each one not
+    yet reached is kept and drops every candidate it reaches through
+    links, never stepping from a vertex to an adjacent one of lower
+    degree.
 
-
-def prune_mutual_simplicial(candidates: list[int], g: Graph) -> list[int]:
-    """Keep one candidate from each group that pairwise simplify each other.
-
-    When eliminating A leaves B simplicial or almost simplicial and vice
-    versa, the two eliminations commute well enough that only one order
-    needs exploring; groups linked by such pairs keep their lowest id.
+    Why this is sound: when B makes A, a best order starting with B
+    continues with A (lb is at most its width, so the forced-elimination
+    rule applies), and the graph left after both is the same in either
+    order.  Non-adjacent A and B leave each other's degree unchanged, so
+    A then B costs what B then A costs.  Adjacent ones both leave the
+    second vertex with all of N(A) and N(B) but themselves as neighbors,
+    so starting with the one of lower degree is never worse.  No step of
+    a chain can lower the best width reachable, so no dropped candidate
+    beats the kept one it was reached from.
     """
     if len(candidates) < 2:
         return list(candidates)
     adj = g._adj
-    status = {b: g.is_simplicial(b) or g.is_almost_simplicial(b) for b in candidates}
-    elim: dict[int, Graph] = {}
+    status = {b: forced_in_masks(adj, b, lb) for b in candidates}
+    elim: dict[int, list[int]] = {}
 
     def makes(a: int, b: int) -> bool:
-        if status[b]:
-            # Already simplicial-or-almost; eliminating another vertex can
-            # only shrink b's neighborhood and add edges inside it.
-            return True
-        if not ((adj[a] >> b) & 1) and (adj[a] & adj[b]).bit_count() < 2:
-            # b's neighborhood and the edges inside it are untouched.
-            return False
-        ga = elim.get(a)
-        if ga is None:
-            ga = elim[a] = g.eliminate(a)
-        return ga.is_simplicial(b) or ga.is_almost_simplicial(b)
+        if not (adj[a] >> b) & 1:
+            # Eliminating a non-neighbor of b leaves b's neighborhood as it
+            # is and can only add edges inside it.
+            if status[b]:
+                return True
+            if (adj[a] & adj[b]).bit_count() < 2:
+                return False
+        after = elim.get(a)
+        if after is None:
+            after = elim[a] = list(adj)
+            _eliminate_in_place(after, a)
+        return forced_in_masks(after, b, lb)
 
-    parent = {v: v for v in candidates}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    cs = sorted(candidates)
-    for i, a in enumerate(cs):
-        for b in cs[i + 1 :]:
-            if find(a) != find(b) and makes(a, b) and makes(b, a):
-                parent[find(b)] = find(a)
-    groups: dict[int, int] = {}
-    for v in cs:
-        r = find(v)
-        if r not in groups:
-            groups[r] = v
-    keep = set(groups.values())
-    return [v for v in candidates if v in keep]
+    order = sorted(candidates, key=lambda v: (adj[v].bit_count(), v))
+    seen: set[int] = set()
+    dropped: set[int] = set()
+    for k in order:
+        if k in seen:
+            continue
+        seen.add(k)
+        reach = [k]
+        while reach:
+            a = reach.pop()
+            da = adj[a].bit_count()
+            for b in order:
+                if b in seen or ((adj[a] >> b) & 1 and adj[b].bit_count() < da):
+                    continue
+                if makes(a, b) and makes(b, a):
+                    seen.add(b)
+                    dropped.add(b)
+                    reach.append(b)
+    return [v for v in candidates if v not in dropped]
 
 
 def prune_fill_subset(candidates: list[int], g: Graph) -> list[int]:
@@ -202,7 +202,7 @@ def prune_fill_subset(candidates: list[int], g: Graph) -> list[int]:
     """
     if len(candidates) < 2:
         return list(candidates)
-    fills = {v: frozenset(g.fill_edges(v)) for v in candidates}
+    fills = {v: frozenset(fill_edges_in_masks(g._adj, v)) for v in candidates}
     keep = []
     for v in candidates:
         fv = fills[v]
@@ -217,8 +217,33 @@ def prune_fill_subset(candidates: list[int], g: Graph) -> list[int]:
     return keep
 
 
-def _make_children(s: SearchState, ub: int, cfg: SolverConfig, is_forbidden, h_func):
+def _reduce(graph: Graph, g_value: int, lb: int, ub: int, cfg: SolverConfig):
+    """The enabled forced eliminations and edge additions, on a copy.
+
+    Returns (graph, g_value, forced, last_nb): graph is the one passed in
+    when nothing changed, and last_nb is the neighborhood mask the last
+    forced vertex had when it was eliminated.
+    """
+    if not (cfg.reductions or cfg.edge_addition):
+        return graph, g_value, [], None
+    adj = list(graph._adj)
+    act, g_value, forced, added, last_nb = _reduce_masks(
+        adj, graph.active_mask, g_value, lb, ub, cfg.reductions, cfg.edge_addition
+    )
+    if forced or added:
+        graph = Graph._from_masks(graph.n, adj, act)
+    return graph, g_value, forced, last_nb
+
+
+def _make_children(s: SearchState, ub: int, cfg: SolverConfig, forb, h_func):
     """Generate, filter, shrink and bound the children of a state.
+
+    forb is the forbidden list: it maps a vertex to the neighborhood
+    masks it had when an earlier sibling finished exploring it.
+    Re-eliminating the vertex while its neighborhood still equals one of
+    them cannot lead anywhere new: nothing eliminated since touched it,
+    so it commutes with those eliminations.  A vertex adjacent to the
+    sibling never matches, because its neighborhood lost the sibling.
 
     Returns (children, closed).  children holds (branch-vertex,
     neighborhood-at-elimination, state) triples in ascending (f, vertex)
@@ -235,16 +260,15 @@ def _make_children(s: SearchState, ub: int, cfg: SolverConfig, is_forbidden, h_f
     else:
         cand_mask = active
     cands = list(bits(cand_mask))
-    if cfg.prune_sibling_order:
-        cands = [v for v in cands if not is_forbidden(v, g)]
+    if cfg.prune_sibling_order and forb:
+        cands = [v for v in cands if g._adj[v] not in forb.get(v, ())]
     if cfg.prune_mutual_simplicial and len(cands) > 1:
-        cands = prune_mutual_simplicial(cands, g)
+        cands = prune_mutual_simplicial(cands, g, s.f)
     if cfg.prune_fill_subset and len(cands) > 1:
         cands = prune_fill_subset(cands, g)
 
     children = []
     closed = []
-    reduce_any = cfg.reductions or cfg.edge_addition
     for v in cands:
         nbv = g._adj[v]
         deg = nbv.bit_count()
@@ -254,50 +278,37 @@ def _make_children(s: SearchState, ub: int, cfg: SolverConfig, is_forbidden, h_f
         if max(s.f, gv, h_pre) >= ub:
             closed.append((v, nbv))
             continue
-        prefix = s.prefix + (v,)
-        last, last_nb = v, nbv
-        gv2, final_graph, h_post = gv, child_graph, h_pre
-        if reduce_any:
-            adj = list(child_graph._adj)
-            act, gv2, forced, added, lnb = _reduce_masks(
-                adj,
-                child_graph.active_mask,
-                gv,
-                h_pre,
-                ub if cfg.edge_addition else None,
-                cfg.reductions,
-                cfg.edge_addition,
-            )
-            if forced or added:
-                final_graph = Graph._from_masks(g.n, adj, act)
-                if forced:
-                    prefix += tuple(forced)
-                    last, last_nb = forced[-1], lnb
-                h_post = h_func(final_graph, cap=ub) if act.bit_count() >= 2 else 0
+        final_graph, gv2, forced, lnb = _reduce(child_graph, gv, h_pre, ub, cfg)
+        prefix = s.prefix + (v,) + tuple(forced)
+        last, last_nb = (forced[-1], lnb) if forced else (v, nbv)
+        h_post = h_pre
+        if final_graph is not child_graph:
+            h_post = h_func(final_graph, cap=ub) if len(final_graph) >= 2 else 0
         f = max(s.f, gv2, h_post)
         if f >= ub:
             closed.append((v, nbv))
             continue
-        state = SearchState(
-            final_graph, prefix, gv2, h_post, f, last, last_nb, s.forbidden
-        )
+        state = SearchState(final_graph, prefix, gv2, h_post, f, last, last_nb)
         children.append((v, nbv, state))
     children.sort(key=lambda t: (t[2].f, t[0]))
     return children, closed
 
 
-def expand(s: SearchState, ub: int, cfg: SolverConfig) -> list[SearchState]:
-    """Children of a state with all enabled rules applied, ascending by f."""
+def expand(
+    s: SearchState,
+    ub: int,
+    cfg: SolverConfig,
+    forbidden: dict[int, list[int]] | None = None,
+) -> list[SearchState]:
+    """Children of a state with all enabled rules applied, ascending by f.
+
+    forbidden is a fixed forbidden list for the sibling-order rule, in
+    the engine's form: vertex -> neighborhood masks at which it is closed.
+    """
     if len(s.graph) < 2:
         raise GraphError("expand requires a state with at least two vertices")
     h_func = _h_factory(cfg.lb_kind)
-    entries = s.forbidden
-
-    def is_forbidden(v, graph):
-        a = graph._adj[v]
-        return any(v == w and a == m for w, m in entries)
-
-    children, _ = _make_children(s, ub, cfg, is_forbidden, h_func)
+    children, _ = _make_children(s, ub, cfg, forbidden or {}, h_func)
     return [state for _, _, state in children]
 
 
@@ -334,27 +345,9 @@ def _solve_component(
     if root_lb >= ub:
         return ub, best, ub, True, 0, False
 
-    g0 = 0
-    forced: tuple[int, ...] = ()
-    root_graph = sub
-    last: int | None = None
-    last_nb = 0
-    if cfg.reductions or cfg.edge_addition:
-        adj = list(sub._adj)
-        act, g0, forced_l, added, lnb = _reduce_masks(
-            adj,
-            sub.active_mask,
-            0,
-            root_lb,
-            ub if cfg.edge_addition else None,
-            cfg.reductions,
-            cfg.edge_addition,
-        )
-        if forced_l or added:
-            root_graph = Graph._from_masks(sub.n, adj, act)
-            forced = tuple(forced_l)
-            if forced:
-                last, last_nb = forced[-1], lnb
+    root_graph, g0, forced_l, lnb = _reduce(sub, 0, root_lb, ub, cfg)
+    forced = tuple(forced_l)
+    last, last_nb = (forced[-1], lnb) if forced else (None, 0)
 
     lb = max(root_lb, g0)
     if len(root_graph) < 2:
@@ -370,15 +363,8 @@ def _solve_component(
     if f0 >= ub:
         return ub, best, ub, True, 1, False
 
-    root = SearchState(root_graph, forced, g0, h_root, f0, last, last_nb, ())
+    root = SearchState(root_graph, forced, g0, h_root, f0, last, last_nb)
     forb: dict[int, list[int]] = {}
-
-    def is_forbidden(v, graph):
-        snaps = forb.get(v)
-        if not snaps:
-            return False
-        a = graph._adj[v]
-        return any(a == m for m in snaps)
 
     stack = [_Frame(root, None, 0)]
     nodes = 0
@@ -413,7 +399,7 @@ def _solve_component(
                     return ub, best, ub, True, nodes, False
                 pop_frame()
                 continue
-            fr.children, closed = _make_children(s, ub, cfg, is_forbidden, h_func)
+            fr.children, closed = _make_children(s, ub, cfg, forb, h_func)
             if cfg.prune_sibling_order:
                 for v, nbmask in closed:
                     forb.setdefault(v, []).append(nbmask)

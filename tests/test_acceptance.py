@@ -123,9 +123,9 @@ def test_01_exact_treewidth_on_small_graph_sweep(sweep):
 def test_02_lower_bounds_never_exceed_treewidth(sweep):
     checked = 0
     for g, tw in sweep:
-        assert minwidth_lb(g).value <= tw
-        assert mcs_lb(g).value <= tw
-        assert minor_min_width(g).value <= tw
+        assert minwidth_lb(g) <= tw
+        assert mcs_lb(g) <= tw
+        assert minor_min_width(g) <= tw
         checked += 1
     print(f"\nacceptance 2 PASS: 3 bounds x {checked} graphs, zero violations")
 
@@ -137,8 +137,8 @@ def test_03_contraction_bound_dominates_visit_bound():
         diff_sum = 0
         for seed in range(200):
             g = gen_random(RandomGraphSpec(100, m, seed=seed))
-            a = minor_min_width(g).value
-            b = mcs_lb(g).value
+            a = minor_min_width(g)
+            b = mcs_lb(g)
             wins += a >= b
             diff_sum += a - b
         rate = wins / 200
@@ -210,7 +210,7 @@ def test_04_named_benchmark_files(td_dir, capsys):
         assert code == 0 and payload["optimal"] and payload["best_width"] == want
         assert wall < 60
         if name in root_lb_equal:
-            assert minor_min_width(g).value == root_lb_equal[name]
+            assert minor_min_width(g) == root_lb_equal[name]
         details.append(f"{name}={want} ({wall:.2f}s)")
     print(f"\nacceptance 4 PASS (files): {', '.join(details)}")
 
@@ -318,7 +318,7 @@ def test_08_every_emitted_decomposition_validates(td_dir, capsys):
 def test_09_reductions_preserve_treewidth_on_sweep(sweep):
     reduced_away = 0
     for g, tw in sweep:
-        lb = minor_min_width(g).value
+        lb = minor_min_width(g)
         ub = min_fill_order(g).width
         out = reduce_state(g, lb=lb, ub=ub)
         again = reduce_state(out.graph, g_value=out.g_value, lb=lb, ub=ub)

@@ -11,7 +11,6 @@ from twbb import (
     minwidth_lb,
     mycielski,
     queen_graph,
-    state_lower_bound,
 )
 from twbb.oracle import exact_treewidth
 
@@ -19,34 +18,34 @@ from twbb.oracle import exact_treewidth
 def test_clique_bounds_are_tight():
     for n in (2, 4, 6):
         g = clique(n)
-        assert minwidth_lb(g).value == n - 1
-        assert mcs_lb(g).value == n - 1
-        assert minor_min_width(g).value == n - 1
+        assert minwidth_lb(g) == n - 1
+        assert mcs_lb(g) == n - 1
+        assert minor_min_width(g) == n - 1
 
 
 def test_cycle_and_tree_bounds():
     for g, want in ((cycle(6), 2), (path(5), 1), (star(5), 1)):
-        assert minwidth_lb(g).value == want
-        assert mcs_lb(g).value == want
-        assert minor_min_width(g).value == want
+        assert minwidth_lb(g) == want
+        assert mcs_lb(g) == want
+        assert minor_min_width(g) == want
 
 
 def test_named_graph_bounds():
     my3 = mycielski(cycle(5))  # treewidth 5
-    assert minwidth_lb(my3).value == 3
-    assert mcs_lb(my3).value == 3
-    assert minor_min_width(my3).value == 4
+    assert minwidth_lb(my3) == 3
+    assert mcs_lb(my3) == 3
+    assert minor_min_width(my3) == 4
     q5 = queen_graph(5)  # treewidth 18
-    assert mcs_lb(q5).value == 12
-    assert minor_min_width(q5).value == 12
-    assert minor_min_width(petersen()).value == 4  # tight: treewidth is 4
+    assert mcs_lb(q5) == 12
+    assert minor_min_width(q5) == 12
+    assert minor_min_width(petersen()) == 4  # tight: treewidth is 4
 
 
 def test_empty_and_single():
     for g in (Graph(0, []), Graph(1, []), Graph(3, [])):
-        assert minwidth_lb(g).value == 0
-        assert mcs_lb(g).value == 0
-        assert minor_min_width(g).value == 0
+        assert minwidth_lb(g) == 0
+        assert mcs_lb(g) == 0
+        assert minor_min_width(g) == 0
 
 
 def test_all_bounds_sound_on_random_graphs():
@@ -56,38 +55,24 @@ def test_all_bounds_sound_on_random_graphs():
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         g = Graph(n, [e for e in pairs if rng.random() < 0.4])
         tw = exact_treewidth(g).treewidth
-        assert minwidth_lb(g).value <= tw
-        assert mcs_lb(g).value <= tw
-        assert minor_min_width(g).value <= tw
+        assert minwidth_lb(g) <= tw
+        assert mcs_lb(g) <= tw
+        assert minor_min_width(g) <= tw
         for start in g.vertices:
-            assert mcs_lb(g, start=start).value <= tw
+            assert mcs_lb(g, start=start) <= tw
 
 
 def test_mcs_lb_max_restarts():
     g = mycielski(cycle(5))
     best = mcs_lb_max(g, restarts=len(g))
-    assert best.value >= mcs_lb(g).value
-    assert best.value <= exact_treewidth(g, limit=11).treewidth
+    assert best >= mcs_lb(g)
+    assert best <= exact_treewidth(g, limit=11).treewidth
 
 
-def test_traces():
-    g = cycle(4)
-    r = minwidth_lb(g, trace=True)
-    assert len(r.witness) == 4 and all(ev[0] == "remove" for ev in r.witness)
-    r = mcs_lb(g, trace=True)
-    assert len(r.witness) == 4 and all(ev[0] == "visit" for ev in r.witness)
-    r = minor_min_width(g, trace=True)
-    assert r.witness and r.witness[-1][0] in ("contract", "isolate")
-    # degrees recorded before contraction
-    kinds = {ev[0] for ev in r.witness}
-    assert kinds <= {"contract", "isolate"}
-
-
-def test_state_lower_bound_cap():
+def test_minor_min_width_cap():
     g = queen_graph(5)
-    full = minor_min_width(g).value
-    assert state_lower_bound(g) == full
-    assert state_lower_bound(g, cap=40) == full
+    full = minor_min_width(g)
+    assert minor_min_width(g, cap=40) == full
     # once the running bound reaches the cap the exact value no longer matters
-    assert state_lower_bound(g, cap=5) >= 5
-    assert state_lower_bound(g, cap=0) >= 0
+    assert minor_min_width(g, cap=5) >= 5
+    assert minor_min_width(g, cap=0) >= 0

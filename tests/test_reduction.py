@@ -3,13 +3,7 @@
 import random
 
 from conftest import clique, complete_bipartite, cycle, star
-from twbb import (
-    Graph,
-    apply_reductions,
-    edge_addition,
-    minor_min_width,
-    reduce_state,
-)
+from twbb import Graph, minor_min_width, reduce_state
 from twbb.heuristics import min_fill_order
 from twbb.oracle import exact_treewidth
 
@@ -19,7 +13,7 @@ def k4_minus_edge():
 
 
 def test_clique_fully_reduces():
-    out = apply_reductions(clique(5))
+    out = reduce_state(clique(5), add_edges=False)
     assert out.forced_prefix == (0, 1, 2, 3, 4)
     assert out.g_value == 4
     assert len(out.graph) == 0
@@ -27,7 +21,7 @@ def test_clique_fully_reduces():
 
 
 def test_cycle_clears_when_bound_allows():
-    out = apply_reductions(cycle(6), lb=2)
+    out = reduce_state(cycle(6), lb=2, add_edges=False)
     assert len(out.forced_prefix) == 6
     assert out.g_value == 2
     assert len(out.graph) == 0
@@ -35,7 +29,7 @@ def test_cycle_clears_when_bound_allows():
 
 def test_cycle_untouched_below_threshold():
     g = cycle(6)
-    out = apply_reductions(g, lb=1)
+    out = reduce_state(g, lb=1, add_edges=False)
     assert not out.changed
     assert out.graph is g
     assert out.g_value == 0
@@ -43,42 +37,37 @@ def test_cycle_untouched_below_threshold():
 
 def test_star_elimination_order():
     # leaves go first in id order; once one leaf is left the center follows
-    out = apply_reductions(star(4))
+    out = reduce_state(star(4), add_edges=False)
     assert out.forced_prefix == (1, 2, 3, 0, 4)
     assert out.g_value == 1
     assert len(out.graph) == 0
 
 
 def test_g_value_only_grows():
-    out = apply_reductions(clique(5), g_value=7)
+    out = reduce_state(clique(5), g_value=7, add_edges=False)
     assert out.g_value == 7
 
 
 def test_running_width_widens_the_gate():
-    # static gate lb=0 does nothing on a 6-cycle, but a running width of 2
+    # lb=0 alone does nothing on a 6-cycle, but a running width of 2
     # already proves the answer is >= 2, which frees the degree-2 rule
-    g = cycle(6)
-    assert not apply_reductions(g, g_value=2, lb=0).changed
-    out = reduce_state(g, g_value=2, lb=0)
+    out = reduce_state(cycle(6), g_value=2, lb=0)
     assert len(out.graph) == 0 and out.g_value == 2
 
 
 def test_edge_addition_bipartite():
-    g = complete_bipartite(2, 3)
-    h, added = edge_addition(g, ub=2)
-    assert added == {(0, 1)}
-    assert h.has_edge(0, 1)
-    assert not h.has_edge(2, 3)
+    out = reduce_state(complete_bipartite(2, 3), ub=2, reductions=False)
+    assert out.edges_added == {(0, 1)}
+    assert out.graph.has_edge(0, 1)
+    assert not out.graph.has_edge(2, 3)
 
 
 def test_edge_addition_threshold():
     g = k4_minus_edge()
-    h, added = edge_addition(g, ub=1)
-    assert added == {(0, 1)} and h.is_clique(h.active_mask)
-    _, none_added = edge_addition(g, ub=2)
-    assert none_added == frozenset()
-    _, none_added = edge_addition(cycle(5), ub=2)
-    assert none_added == frozenset()
+    out = reduce_state(g, ub=1, reductions=False)
+    assert out.edges_added == {(0, 1)} and out.graph.is_clique(out.graph.active_mask)
+    assert not reduce_state(g, ub=2, reductions=False).changed
+    assert not reduce_state(cycle(5), ub=2, reductions=False).changed
 
 
 def test_joint_fixed_point_cascades():
@@ -103,7 +92,7 @@ def test_fixed_point_is_stable():
         n = rng.randint(2, 9)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         g = Graph(n, [e for e in pairs if rng.random() < 0.45])
-        lb = minor_min_width(g).value
+        lb = minor_min_width(g)
         ub = min_fill_order(g).width
         out = reduce_state(g, lb=lb, ub=ub)
         again = reduce_state(out.graph, g_value=out.g_value, lb=lb, ub=ub)
@@ -118,7 +107,7 @@ def test_reductions_preserve_the_answer():
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         g = Graph(n, [e for e in pairs if rng.random() < 0.4])
         tw = exact_treewidth(g).treewidth
-        lb = minor_min_width(g).value
+        lb = minor_min_width(g)
         ub = min_fill_order(g).width
         out = reduce_state(g, lb=lb, ub=ub)
         rest = exact_treewidth(out.graph).treewidth if len(out.graph) else 0

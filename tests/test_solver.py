@@ -1,6 +1,7 @@
 """Branch-and-bound solver: exactness, pruning rules, anytime behavior."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from conftest import (
@@ -17,13 +18,14 @@ from twbb import (
     Graph,
     GraphError,
     HeuristicConfig,
+    PartialKTreeSpec,
     SearchState,
     SolverConfig,
     expand,
+    gen_partial_ktree,
     mycielski,
     prune_fill_subset,
     prune_mutual_simplicial,
-    prune_sibling_order,
     queen_graph,
     solve,
     width_of_order,
@@ -38,6 +40,8 @@ ALL_OFF = SolverConfig(
     prune_fill_subset=False,
     successor_restriction=False,
 )
+
+RUNS1 = SolverConfig(ub_heuristic=HeuristicConfig("min-fill", runs=1))
 
 TOGGLES = (
     "reductions",
@@ -255,23 +259,30 @@ def test_expand_applies_forced_eliminations():
 
 
 def test_prune_sibling_order_matches_snapshot():
+    cfg = replace(ALL_OFF, prune_sibling_order=True)
     g = cycle(4)
-    snap = g._adj[1]
-    s = SearchState(g, (), 0, 0, 0, forbidden=((1, snap),))
-    assert prune_sibling_order(1, s)
-    assert not prune_sibling_order(2, s)
-    changed = SearchState(g.with_edges([(1, 3)]), (), 0, 0, 0, forbidden=((1, snap),))
-    assert not prune_sibling_order(1, changed)
+    forbidden = {1: [g._adj[1]]}
+    kids = expand(SearchState(g, (), 0, 0, 0), 10, cfg, forbidden)
+    assert [k.prefix for k in kids] == [(0,), (2,), (3,)]
+    # the rule is off, or the neighborhood no longer matches the snapshot
+    kids = expand(SearchState(g, (), 0, 0, 0), 10, ALL_OFF, forbidden)
+    assert [k.prefix for k in kids] == [(0,), (1,), (2,), (3,)]
+    changed = SearchState(g.with_edges([(1, 3)]), (), 0, 0, 0)
+    kids = expand(changed, 10, cfg, forbidden)
+    assert (1,) in [k.prefix for k in kids]
 
 
 def test_prune_mutual_simplicial_cases():
-    assert prune_mutual_simplicial([1, 2], path(4)) == [1]
-    assert prune_mutual_simplicial([0, 1, 2, 3], cycle(4)) == [0]
-    assert prune_mutual_simplicial([0, 1, 2, 3], clique(4)) == [0]
-    assert prune_mutual_simplicial([0, 1, 2, 3], star(3)) == [0]
+    assert prune_mutual_simplicial([1, 2], path(4), 2) == [1]
+    assert prune_mutual_simplicial([0, 1, 2, 3], cycle(4), 2) == [0]
+    assert prune_mutual_simplicial([0, 1, 2, 3], clique(4), 3) == [0]
+    # the group keeps a leaf (degree 1), not the centre (degree 3)
+    assert prune_mutual_simplicial([0, 1, 2, 3], star(3), 2) == [1]
+    # below lb 2, a leaf's elimination leaves the centre too wide to count
+    assert prune_mutual_simplicial([0, 1, 2, 3], star(3), 1) == [0, 1]
     # vertices that are not simplicial-ish and do not affect each other stay
-    assert prune_mutual_simplicial([0, 1, 5], petersen()) == [0, 1, 5]
-    assert prune_mutual_simplicial([3], cycle(8)) == [3]
+    assert prune_mutual_simplicial([0, 1, 5], petersen(), 4) == [0, 1, 5]
+    assert prune_mutual_simplicial([3], cycle(8), 2) == [3]
 
 
 def test_prune_fill_subset_cases():
@@ -279,3 +290,25 @@ def test_prune_fill_subset_cases():
     assert prune_fill_subset([0, 1, 2, 3], path(4)) == [0]
     assert prune_fill_subset([0, 1, 2, 3], star(3)) == [1]
     assert prune_fill_subset([2], star(3)) == [2]
+
+
+@pytest.mark.parametrize(
+    "spec,cfg,want",
+    [
+        (PartialKTreeSpec(10, 6, 30, seed=820324079), RUNS1, 5),
+        (PartialKTreeSpec(13, 6, 30, seed=412376747), RUNS1, 6),
+        (PartialKTreeSpec(50, 10, 20, seed=915233699), SolverConfig(), 10),
+        (PartialKTreeSpec(50, 10, 20, seed=1439615510), SolverConfig(), 10),
+    ],
+    ids=["pk10", "pk13", "pk50a", "pk50b"],
+)
+def test_mutual_simplicial_keeps_an_optimal_branch(spec, cfg, want):
+    # each graph was solved one too wide, and "proven optimal", when the
+    # rule counted almost-simplicial vertices at any degree and kept the
+    # lowest id of a group rather than a minimum-degree member
+    g = gen_partial_ktree(spec)
+    if g.n <= 14:
+        assert exact_treewidth(g).treewidth == want
+    r = solve(g, cfg)
+    assert r.optimal and r.best_width == want
+    check_report(g, r)
