@@ -63,10 +63,7 @@ class BenchRecord:
 
 
 def config_hash(cfg: SolverConfig) -> str:
-    payload = asdict(cfg)
-    if cfg.ub_heuristic is not None:
-        payload["ub_heuristic"] = asdict(cfg.ub_heuristic)
-    blob = json.dumps(payload, sort_keys=True, default=str).encode()
+    blob = json.dumps(asdict(cfg), sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
 

@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 
 from .bench import (
     PartialKTreeSpec,
@@ -67,7 +68,6 @@ def _read_graph(path: str):
 def _solver_config(args) -> SolverConfig:
     return SolverConfig(
         time_limit=args.time_limit,
-        seed=args.seed,
         reductions=not args.no_reduce,
         edge_addition=not args.no_edge_add,
         prune_sibling_order=not args.no_prune_sibling,
@@ -184,7 +184,8 @@ def _cmd_bench(args) -> int:
         spec = RandomGraphSpec(args.n, args.m, 0)
     else:
         spec = PartialKTreeSpec(args.n, args.k, args.p, 0)
-    cfg = SolverConfig(time_limit=args.time_limit, seed=args.seed)
+    heuristic = replace(SolverConfig().ub_heuristic, seed=args.seed)
+    cfg = SolverConfig(time_limit=args.time_limit, ub_heuristic=heuristic)
     records = list(run_family(spec, count=args.count, seed0=args.seed0, cfg=cfg))
     if args.format == "csv":
         text = records_to_csv(records)

@@ -111,11 +111,6 @@ class Graph:
                 out.append((u, u + 1 + k))
         return out
 
-    def common_neighbors(self, u: int, v: int) -> set[int]:
-        self._require_active(u)
-        self._require_active(v)
-        return set(bits(self._adj[u] & self._adj[v]))
-
     def is_clique(self, vertices_mask: int) -> bool:
         """True when every pair of the given active vertices is adjacent."""
         return clique_in_masks(self._adj, vertices_mask)
@@ -237,6 +232,16 @@ def fill_count_in_masks(adj: list[int], v: int) -> int:
     for u in bits(nb):
         missing += (nb & ~adj[u] & ~(1 << u)).bit_count()
     return missing // 2
+
+
+def fill_touched_in_masks(adj: list[int], v: int) -> int:
+    """Mask of v's neighbors that some fill edge of v would touch."""
+    nb = adj[v]
+    touched = 0
+    for u in bits(nb):
+        if nb & ~adj[u] & ~(1 << u):
+            touched |= 1 << u
+    return touched
 
 
 def almost_simplicial_in_masks(adj: list[int], v: int) -> bool:

@@ -176,17 +176,20 @@ def max_cardinality_order(g: Graph, start: int | None = None) -> EliminationOrde
     return EliminationOrder(tuple(visit), width_of_order(g, visit))
 
 
-def best_upper_bound(g: Graph, cfg: HeuristicConfig) -> tuple[int, EliminationOrder]:
+def best_upper_bound(g: Graph, cfg: HeuristicConfig, stop=None) -> tuple[int, EliminationOrder]:
     """Best order over cfg.runs repetitions.
 
     Run 0 is the deterministic variant; later runs draw from independent
     streams seeded by (cfg.seed, run index), so results for a given prefix
-    of runs never change as runs grows.
+    of runs never change as runs grows.  stop(), when given, is polled
+    before every run after run 0 and ends the restarts once true.
     """
     if len(g) == 0:
         return 0, EliminationOrder((), 0)
     best = None
     for i in range(cfg.runs):
+        if i and stop is not None and stop():
+            break
         rng = None if i == 0 else random.Random(f"{cfg.seed}:{i}")
         if cfg.kind == "min-fill":
             order = min_fill_order(g, rng)

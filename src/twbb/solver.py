@@ -31,7 +31,7 @@ from .graph import (
     _eliminate_in_place,
     bits,
     connected_components,
-    fill_edges_in_masks,
+    fill_touched_in_masks,
 )
 from .heuristics import EliminationOrder, HeuristicConfig, best_upper_bound
 from .reduction import _reduce_masks, forced_in_masks
@@ -54,30 +54,23 @@ LB_KINDS = ("mmw", "mcslb", "mw")
 class SolverConfig:
     """Search settings; every rule can be toggled independently.
 
-    seed feeds the randomized restarts of the initial upper-bound
-    heuristic (the search itself is deterministic).  ub_heuristic, when
-    given, overrides the default of min-fill with 100 seeded restarts.
+    ub_heuristic gives the initial upper bound and holds the only seed;
+    the search itself is deterministic.
     """
 
     time_limit: float | None = None
-    seed: int = 0
     reductions: bool = True
     edge_addition: bool = True
     prune_sibling_order: bool = True
     prune_mutual_simplicial: bool = True
     prune_fill_subset: bool = True
     successor_restriction: bool = True
-    ub_heuristic: HeuristicConfig | None = None
+    ub_heuristic: HeuristicConfig = HeuristicConfig("min-fill", runs=100)
     lb_kind: str = "mmw"
 
     def __post_init__(self):
         if self.lb_kind not in LB_KINDS:
             raise GraphError(f"unknown lower bound kind: {self.lb_kind!r}")
-
-    def heuristic(self) -> HeuristicConfig:
-        if self.ub_heuristic is not None:
-            return self.ub_heuristic
-        return HeuristicConfig("min-fill", runs=100, seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -199,43 +192,55 @@ def prune_fill_subset(candidates: list[int], g: Graph) -> list[int]:
 
     If fill(A) is a subset of fill(B), eliminating A first is never
     worse, so B is dropped; on equal fill sets the lower id survives.
+    Every fill edge of A joins two vertices of T(A), the neighbors of A
+    that some fill edge touches, and is a non-edge; so fill(A) is a
+    subset of fill(B) exactly when T(A) lies inside B's neighborhood.
     """
     if len(candidates) < 2:
         return list(candidates)
-    fills = {v: frozenset(fill_edges_in_masks(g._adj, v)) for v in candidates}
+    adj = g._adj
+    touched = {v: fill_touched_in_masks(adj, v) for v in candidates}
     keep = []
     for v in candidates:
-        fv = fills[v]
+        tv, nv = touched[v], adj[v]
         for u in candidates:
-            if u == v:
-                continue
-            fu = fills[u]
-            if fu < fv or (fu == fv and u < v):
+            # fill(u) within fill(v), and u wins the tie or v's is larger
+            if u != v and not touched[u] & ~nv and (u < v or tv & ~adj[u]):
                 break
         else:
             keep.append(v)
     return keep
 
 
-def _reduce(graph: Graph, g_value: int, lb: int, ub: int, cfg: SolverConfig):
-    """The enabled forced eliminations and edge additions, on a copy.
+def _bound(graph, prefix, g, f, h_pre, last, last_nb, ub, cfg, h_func):
+    """Shrink a state by the forced rules and bound it; None once f >= ub.
 
-    Returns (graph, g_value, forced, last_nb): graph is the one passed in
-    when nothing changed, and last_nb is the neighborhood mask the last
-    forced vertex had when it was eliminated.
+    graph is what remains after prefix, of width g; f is the bound the
+    state inherits and h_pre a lower bound for graph.  The enabled forced
+    eliminations and edge additions run on a copy, and h is recomputed
+    only when they changed the graph.
     """
-    if not (cfg.reductions or cfg.edge_addition):
-        return graph, g_value, [], None
-    adj = list(graph._adj)
-    act, g_value, forced, added, last_nb = _reduce_masks(
-        adj, graph.active_mask, g_value, lb, ub, cfg.reductions, cfg.edge_addition
-    )
-    if forced or added:
-        graph = Graph._from_masks(graph.n, adj, act)
-    return graph, g_value, forced, last_nb
+    if max(f, g, h_pre) >= ub:
+        return None
+    h = h_pre
+    if cfg.reductions or cfg.edge_addition:
+        adj = list(graph._adj)
+        act, g, forced, added, lnb = _reduce_masks(
+            adj, graph.active_mask, g, h_pre, ub, cfg.reductions, cfg.edge_addition
+        )
+        if forced or added:
+            graph = Graph._from_masks(graph.n, adj, act)
+            h = h_func(graph, cap=ub) if len(graph) >= 2 else 0
+        if forced:
+            prefix += tuple(forced)
+            last, last_nb = forced[-1], lnb
+    f = max(f, g, h)
+    if f >= ub:
+        return None
+    return SearchState(graph, prefix, g, h, f, last, last_nb)
 
 
-def _make_children(s: SearchState, ub: int, cfg: SolverConfig, forb, h_func):
+def _make_children(s: SearchState, ub: int, cfg: SolverConfig, forb, h_func, stop):
     """Generate, filter, shrink and bound the children of a state.
 
     forb is the forbidden list: it maps a vertex to the neighborhood
@@ -245,20 +250,18 @@ def _make_children(s: SearchState, ub: int, cfg: SolverConfig, forb, h_func):
     so it commutes with those eliminations.  A vertex adjacent to the
     sibling never matches, because its neighborhood lost the sibling.
 
-    Returns (children, closed).  children holds (branch-vertex,
-    neighborhood-at-elimination, state) triples in ascending (f, vertex)
-    order; closed holds the same pair data for candidates discarded
-    because their bound already reached ub, which are as concluded as an
-    explored sibling for forbidden-list purposes.
+    Returns (children, closed), or None when stop() fires before a
+    candidate.  children holds (branch-vertex, neighborhood-at-
+    elimination, state) triples in ascending (f, vertex) order; closed
+    holds the same pair data for candidates discarded because their
+    bound already reached ub, which are as concluded as an explored
+    sibling for forbidden-list purposes.
     """
     g = s.graph
     active = g.active_mask
+    cand_mask = active
     if cfg.successor_restriction and s.last is not None:
-        cand_mask = active & ~s.last_neighborhood
-        if not cand_mask:
-            cand_mask = active
-    else:
-        cand_mask = active
+        cand_mask = active & ~s.last_neighborhood or active
     cands = list(bits(cand_mask))
     if cfg.prune_sibling_order and forb:
         cands = [v for v in cands if g._adj[v] not in forb.get(v, ())]
@@ -270,26 +273,17 @@ def _make_children(s: SearchState, ub: int, cfg: SolverConfig, forb, h_func):
     children = []
     closed = []
     for v in cands:
+        if stop():
+            return None
         nbv = g._adj[v]
-        deg = nbv.bit_count()
-        gv = s.g if s.g >= deg else deg
-        child_graph = g.eliminate(v)
-        h_pre = h_func(child_graph, cap=ub)
-        if max(s.f, gv, h_pre) >= ub:
+        gv = max(s.g, nbv.bit_count())
+        child = g.eliminate(v)
+        h_pre = h_func(child, cap=ub)
+        state = _bound(child, s.prefix + (v,), gv, s.f, h_pre, v, nbv, ub, cfg, h_func)
+        if state is None:
             closed.append((v, nbv))
-            continue
-        final_graph, gv2, forced, lnb = _reduce(child_graph, gv, h_pre, ub, cfg)
-        prefix = s.prefix + (v,) + tuple(forced)
-        last, last_nb = (forced[-1], lnb) if forced else (v, nbv)
-        h_post = h_pre
-        if final_graph is not child_graph:
-            h_post = h_func(final_graph, cap=ub) if len(final_graph) >= 2 else 0
-        f = max(s.f, gv2, h_post)
-        if f >= ub:
-            closed.append((v, nbv))
-            continue
-        state = SearchState(final_graph, prefix, gv2, h_post, f, last, last_nb)
-        children.append((v, nbv, state))
+        else:
+            children.append((v, nbv, state))
     children.sort(key=lambda t: (t[2].f, t[0]))
     return children, closed
 
@@ -308,7 +302,7 @@ def expand(
     if len(s.graph) < 2:
         raise GraphError("expand requires a state with at least two vertices")
     h_func = _h_factory(cfg.lb_kind)
-    children, _ = _make_children(s, ub, cfg, forbidden or {}, h_func)
+    children, _ = _make_children(s, ub, cfg, forbidden or {}, h_func, lambda: False)
     return [state for _, _, state in children]
 
 
@@ -331,44 +325,23 @@ def _solve_component(
     ub: int,
     best: tuple[int, ...],
     root_lb: int,
-    deadline: float | None,
-    should_stop,
+    stop,
     report,
 ):
     """Search one connected component.
 
     ub/best come from the heuristic and root_lb from a lower bound on
     the intact component.  report(width, order) is called on each
-    improvement.  Returns (width, order, proven_lb, optimal, nodes,
-    interrupted).
+    improvement.  Returns (width, order, proven_lb, nodes); proven_lb is
+    the width itself unless stop() cut the search short.
     """
-    if root_lb >= ub:
-        return ub, best, ub, True, 0, False
-
-    root_graph, g0, forced_l, lnb = _reduce(sub, 0, root_lb, ub, cfg)
-    forced = tuple(forced_l)
-    last, last_nb = (forced[-1], lnb) if forced else (None, 0)
-
-    lb = max(root_lb, g0)
-    if len(root_graph) < 2:
-        width = g0
-        if width < ub:
-            ub, best = width, forced + tuple(root_graph.vertices)
-            report(ub, best)
-        return ub, best, ub, True, 1, False
-
-    h_root = h_func(root_graph, cap=None)
-    lb = max(lb, h_root)
-    f0 = max(g0, h_root)
-    if f0 >= ub:
-        return ub, best, ub, True, 1, False
-
-    root = SearchState(root_graph, forced, g0, h_root, f0, last, last_nb)
+    root = _bound(sub, (), 0, root_lb, root_lb, None, 0, ub, cfg, h_func)
+    if root is None:
+        return ub, best, ub, 0
+    lb = root.f
     forb: dict[int, list[int]] = {}
-
     stack = [_Frame(root, None, 0)]
     nodes = 0
-    interrupted = False
 
     def pop_frame():
         fr = stack.pop()
@@ -385,21 +358,20 @@ def _solve_component(
             if s.f >= ub:
                 pop_frame()
                 continue
-            if should_stop is not None and should_stop():
-                interrupted = True
-                break
-            if deadline is not None and time.monotonic() >= deadline:
-                interrupted = True
-                break
+            if stop():
+                return ub, best, lb, nodes
             nodes += 1
             if len(s.graph) < 2:
                 ub, best = s.g, s.prefix + tuple(s.graph.vertices)
                 report(ub, best)
                 if ub <= lb:
-                    return ub, best, ub, True, nodes, False
+                    break
                 pop_frame()
                 continue
-            fr.children, closed = _make_children(s, ub, cfg, forb, h_func)
+            made = _make_children(s, ub, cfg, forb, h_func, stop)
+            if made is None:
+                return ub, best, lb, nodes
+            fr.children, closed = made
             if cfg.prune_sibling_order:
                 for v, nbmask in closed:
                     forb.setdefault(v, []).append(nbmask)
@@ -411,10 +383,7 @@ def _solve_component(
             stack.append(_Frame(child, bv, nbv))
             continue
         pop_frame()
-
-    if interrupted:
-        return ub, best, lb, False, nodes, True
-    return ub, best, ub, True, nodes, False
+    return ub, best, ub, nodes
 
 
 def solve(
@@ -428,30 +397,27 @@ def solve(
     Runs per connected component, reporting the max width, the summed
     node count and one merged improvement trace.  on_improvement(elapsed,
     width, order) is called synchronously for the initial heuristic
-    solution and every improvement; should_stop() is polled at node
-    boundaries for cooperative cancellation.  Completed runs are fully
-    deterministic for a given configuration.
+    solution and every improvement.  The search stops once
+    cfg.time_limit seconds have passed or should_stop() returns true;
+    both are checked between heuristic runs (run 0 always completes),
+    between branch candidates and at node boundaries.  Completed runs
+    are fully deterministic for a given configuration.
     """
     cfg = cfg or SolverConfig()
     t0 = time.monotonic()
     deadline = t0 + cfg.time_limit if cfg.time_limit is not None else None
+
+    def stop() -> bool:
+        if deadline is not None and time.monotonic() >= deadline:
+            return True
+        return should_stop is not None and should_stop()
+
     h_func = _h_factory(cfg.lb_kind)
-    hcfg = cfg.heuristic()
-
-    comps = connected_components(g)
-    trace: list[tuple[float, int]] = []
-    if not comps:
-        el = time.monotonic() - t0
-        trace.append((el, 0))
-        if on_improvement is not None:
-            on_improvement(el, 0, ())
-        return RunReport(0, EliminationOrder((), 0), 0, True, 0, el, trace)
-
-    subs = [g.induced(c) for c in comps]
+    subs = [g.induced(c) for c in connected_components(g)]
     comp_best: list[tuple[int, tuple[int, ...]]] = []
     comp_lb: list[int] = []
     for sub in subs:
-        w, order = best_upper_bound(sub, hcfg)
+        w, order = best_upper_bound(sub, cfg.ub_heuristic, stop)
         comp_best.append((w, order.vertices))
         comp_lb.append(h_func(sub, cap=None))
 
@@ -461,46 +427,37 @@ def solve(
             out.extend(vs)
         return tuple(out)
 
-    def emit(width: int):
+    trace: list[tuple[float, int]] = []
+
+    def emit():
+        width = max((w for w, _ in comp_best), default=0)
         if not trace or width < trace[-1][1]:
             el = time.monotonic() - t0
             trace.append((el, width))
             if on_improvement is not None:
                 on_improvement(el, width, global_order())
 
-    emit(max(w for w, _ in comp_best))
+    emit()
 
     total_nodes = 0
     for i, sub in enumerate(subs):
-        out_of_time = deadline is not None and time.monotonic() >= deadline
-        cancelled = should_stop is not None and should_stop()
-        if out_of_time or cancelled:
-            continue
+        if stop():
+            break
 
         def report(width, order, _i=i):
             comp_best[_i] = (width, order)
-            emit(max(w for w, _ in comp_best))
+            emit()
 
-        w, order, lb, _opt, nodes, _ = _solve_component(
-            sub,
-            cfg,
-            h_func,
-            comp_best[i][0],
-            comp_best[i][1],
-            comp_lb[i],
-            deadline,
-            should_stop,
-            report,
+        w, order, lb, nodes = _solve_component(
+            sub, cfg, h_func, comp_best[i][0], comp_best[i][1], comp_lb[i], stop, report
         )
         comp_best[i] = (w, order)
         comp_lb[i] = lb
         total_nodes += nodes
 
-    best_width = max(w for w, _ in comp_best)
-    proven_lb = max(comp_lb)
-    optimal = proven_lb >= best_width
-    if optimal:
-        proven_lb = best_width
+    best_width = max((w for w, _ in comp_best), default=0)
+    proven_lb = min(max(comp_lb, default=0), best_width)
+    optimal = proven_lb == best_width
     elapsed = time.monotonic() - t0
     return RunReport(
         best_width,

@@ -9,6 +9,7 @@ from conftest import clique
 from twbb import (
     Graph,
     GraphError,
+    HeuristicConfig,
     PartialKTreeSpec,
     RandomGraphSpec,
     SolverConfig,
@@ -126,7 +127,8 @@ def test_config_hash():
     a = config_hash(SolverConfig())
     assert a == config_hash(SolverConfig())
     assert a != config_hash(SolverConfig(reductions=False))
-    assert a != config_hash(SolverConfig(seed=1))
+    reseeded = HeuristicConfig("min-fill", runs=100, seed=1)
+    assert a != config_hash(SolverConfig(ub_heuristic=reseeded))
 
 
 def test_aggregate():

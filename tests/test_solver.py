@@ -19,10 +19,12 @@ from twbb import (
     GraphError,
     HeuristicConfig,
     PartialKTreeSpec,
+    RandomGraphSpec,
     SearchState,
     SolverConfig,
     expand,
     gen_partial_ktree,
+    gen_random,
     mycielski,
     prune_fill_subset,
     prune_mutual_simplicial,
@@ -162,9 +164,9 @@ def test_alternate_lower_bounds():
 def test_config_validation():
     with pytest.raises(GraphError):
         SolverConfig(lb_kind="nope")
-    assert SolverConfig().heuristic() == HeuristicConfig("min-fill", runs=100, seed=0)
+    assert SolverConfig().ub_heuristic == HeuristicConfig("min-fill", runs=100, seed=0)
     custom = HeuristicConfig("min-width", runs=3, seed=7)
-    assert SolverConfig(ub_heuristic=custom).heuristic() is custom
+    assert SolverConfig(ub_heuristic=custom).ub_heuristic is custom
 
 
 def test_determinism():
@@ -198,6 +200,34 @@ def test_should_stop_cancels():
     r = solve(g, should_stop=stop)
     assert not r.optimal
     assert r.proven_lb <= r.best_width
+    check_report(g, r)
+
+
+def test_deadline_cuts_the_heuristic_restarts():
+    # the 100 min-fill restarts alone take several seconds on this graph
+    g = gen_random(RandomGraphSpec(80, 1200, seed=0))
+    r = solve(g, SolverConfig(time_limit=0.0))
+    assert r.elapsed < 1.0
+    assert r.nodes_expanded == 0 and not r.optimal
+    check_report(g, r)
+    calls = [0]
+
+    def stop():
+        calls[0] += 1
+        return calls[0] > 3
+
+    r = solve(g, should_stop=stop)
+    assert r.elapsed < 1.0
+    check_report(g, r)
+
+
+def test_deadline_cuts_a_root_expansion():
+    # bounding every candidate of the root takes several seconds at n=300
+    g = gen_random(RandomGraphSpec(300, 1500, seed=0))
+    cfg = SolverConfig(time_limit=3.0, ub_heuristic=HeuristicConfig("min-fill", runs=1))
+    r = solve(g, cfg)
+    assert r.elapsed < cfg.time_limit + 1.0
+    assert not r.optimal
     check_report(g, r)
 
 
@@ -290,6 +320,31 @@ def test_prune_fill_subset_cases():
     assert prune_fill_subset([0, 1, 2, 3], path(4)) == [0]
     assert prune_fill_subset([0, 1, 2, 3], star(3)) == [1]
     assert prune_fill_subset([2], star(3)) == [2]
+
+
+def test_prune_fill_subset_matches_fill_edge_sets():
+    def reference(cands, g):
+        fills = {v: frozenset(g.fill_edges(v)) for v in cands}
+        return [
+            v
+            for v in cands
+            if not any(
+                u != v and (fills[u] < fills[v] or (fills[u] == fills[v] and u < v))
+                for u in cands
+            )
+        ]
+
+    rng = random.Random(4)
+    for _ in range(3000):
+        n = rng.randint(2, 9)
+        p = rng.random()
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        g = Graph(n, [e for e in pairs if rng.random() < p])
+        for v in rng.sample(range(n), rng.randint(0, n - 2)):
+            g = g.eliminate(v)
+        verts = list(g.vertices)
+        cands = sorted(rng.sample(verts, rng.randint(1, len(verts))))
+        assert prune_fill_subset(cands, g) == reference(cands, g)
 
 
 @pytest.mark.parametrize(
