@@ -12,7 +12,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .bounds import mcs_lb, minor_min_width, minwidth_lb
 from .generators import (
@@ -25,23 +25,6 @@ from .heuristics import min_fill_order
 from .solver import SolverConfig, solve
 
 __all__ = ["BenchRecord", "aggregate", "records_to_csv", "records_to_jsonl", "run_family"]
-
-FIELDS = (
-    "instance",
-    "n",
-    "m",
-    "best_width",
-    "proven_lb",
-    "mf_width",
-    "optimal",
-    "nodes",
-    "elapsed",
-    "mw",
-    "mcslb",
-    "mmw",
-    "config",
-)
-
 
 @dataclass(frozen=True)
 class BenchRecord:
@@ -60,6 +43,9 @@ class BenchRecord:
     mcslb: int
     mmw: int
     config: str
+
+
+FIELDS = tuple(f.name for f in fields(BenchRecord))
 
 
 def config_hash(cfg: SolverConfig) -> str:
@@ -130,8 +116,7 @@ def records_to_csv(records: list[BenchRecord]) -> str:
     return out.getvalue()
 
 
-def records_to_jsonl(records: list[BenchRecord], with_aggregate: bool = True) -> str:
+def records_to_jsonl(records: list[BenchRecord]) -> str:
     lines = [json.dumps(asdict(r), sort_keys=True) for r in records]
-    if with_aggregate:
-        lines.append(json.dumps({"aggregate": aggregate(records)}, sort_keys=True))
+    lines.append(json.dumps({"aggregate": aggregate(records)}, sort_keys=True))
     return "\n".join(lines) + "\n"

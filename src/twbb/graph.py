@@ -123,12 +123,13 @@ class Graph:
     def is_almost_simplicial(self, v: int) -> bool:
         """True when removing one neighbor would leave v's neighborhood a clique.
 
-        Geometric condition only; the degree threshold used by reductions
-        lives with the reduction rules.  A simplicial vertex with at least
-        one neighbor qualifies; an isolated vertex does not.
+        Geometric condition only: ``forced_in_masks`` with the degree gate
+        at v's own degree.  A simplicial vertex with at least one neighbor
+        qualifies; an isolated vertex does not.
         """
         self._require_active(v)
-        return almost_simplicial_in_masks(self._adj, v)
+        nb = self._adj[v]
+        return nb != 0 and forced_in_masks(self._adj, v, nb.bit_count())
 
     def fill_edges(self, v: int) -> set[tuple[int, int]]:
         """Pairs of v's neighbors that eliminating v would have to connect."""
@@ -244,41 +245,29 @@ def fill_touched_in_masks(adj: list[int], v: int) -> int:
     return touched
 
 
-def almost_simplicial_in_masks(adj: list[int], v: int) -> bool:
-    """Mask-level almost-simplicial test shared by Graph and the reductions."""
+def forced_in_masks(adj: list[int], v: int, lb: int) -> bool:
+    """True when v may be eliminated first: it is simplicial, or almost
+    simplicial (dropping one neighbor leaves a clique) with degree at most
+    lb, a lower bound on the answer.
+
+    u is the first neighbor that misses another.  The dropped neighbor must
+    touch every missing pair, so it is u or, when u misses exactly one
+    neighbor w, that w.  Neighbors below u miss nothing and u misses only w,
+    so only the neighbors above u need checking.
+    """
     nb = adj[v]
-    if nb == 0:
-        return False
-    # u is "deficient" if some neighbor of v is missing from u's adjacency.
-    deficient = []
-    rest = nb
-    while rest:
-        low = rest & -rest
-        u = low.bit_length() - 1
-        rest ^= low
-        missing = nb & ~adj[u] & ~low
+    for u in bits(nb):
+        missing = nb & ~adj[u] & ~(1 << u)
         if missing:
-            deficient.append((u, missing))
-    if not deficient:
-        # Neighborhood is already a clique: dropping any one vertex keeps it one.
+            break
+    else:
         return True
-    # Removing x from N(v) must fix every missing pair, so every deficient
-    # vertex other than x may be missing only x itself.
-    candidates = None
-    for u, missing in deficient:
-        cand = missing | (1 << u)
-        candidates = cand if candidates is None else candidates & cand
-        if not candidates:
-            return False
-    for x in bits(candidates & nb):
-        ok = True
-        for u, missing in deficient:
-            if u != x and missing != (1 << x):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    if nb.bit_count() > lb:
+        return False
+    above = nb & ~((2 << u) - 1)
+    if clique_in_masks(adj, above):
+        return True
+    return not missing & (missing - 1) and clique_in_masks(adj, above & ~missing)
 
 
 def _eliminate_in_place(adj: list[int], v: int) -> None:

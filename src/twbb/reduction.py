@@ -10,23 +10,19 @@ Two sound rewrites shrink a state before it is branched on:
   create that edge anyway.
 
 Both preserve the state's optimal completion width, so a solver may apply
-them eagerly.  ``_reduce_masks`` runs the two to a joint fixed point on
-scratch adjacency masks; the solver calls it directly on every child, and
-``reduce_state`` is the same fixed point on a Graph, with either rule
-switchable off, for the oracle cross-checks.
+them eagerly.  The forced-vertex test is ``graph.forced_in_masks``.
+``_reduce_masks`` runs the two rules to a joint fixed point on scratch
+adjacency masks; the solver calls it directly on every child, and
+``reduce_state`` is the same fixed point on a Graph for the oracle
+cross-checks.  Each rule has one off-switch: ``reductions=False`` skips
+the eliminations and ``ub=None`` skips edge addition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import (
-    Graph,
-    _eliminate_in_place,
-    almost_simplicial_in_masks,
-    bits,
-    clique_in_masks,
-)
+from .graph import Graph, _eliminate_in_place, bits, forced_in_masks
 
 __all__ = ["ReductionOutcome", "reduce_state"]
 
@@ -54,43 +50,26 @@ class ReductionOutcome:
         return bool(self.forced_prefix or self.edges_added)
 
 
-def forced_in_masks(adj: list[int], v: int, lb: int) -> bool:
-    """True when v may be eliminated first: it is simplicial, or almost
-    simplicial with degree at most lb (a lower bound on the answer)."""
-    nb = adj[v]
-    if clique_in_masks(adj, nb):
-        return True
-    return nb.bit_count() <= lb and almost_simplicial_in_masks(adj, v)
-
-
 def _reduction_sweep(
-    adj: list[int], active: int, g_value: int, lb: int, forced: list[int]
-) -> tuple[int, int, int | None]:
-    """Eliminate forced vertices until none qualifies.
+    adj: list[int], active: int, g_value: int, lb: int, forced: list[tuple[int, int]]
+) -> tuple[int, int]:
+    """Eliminate forced vertices, lowest id first, until none qualifies.
 
-    Scans active vertices in ascending id order and restarts after every
-    elimination, so the result is deterministic.  Returns the new active
-    mask, the new g value, and the neighborhood mask the last forced
-    vertex had when it was eliminated (None when nothing fired).
+    lb gates the almost-simplicial rule and stays fixed through the sweep.
+    Appends (vertex, neighborhood mask at elimination) to forced and
+    returns the new active mask and g value.
     """
-    last_nb = None
     while True:
-        fired = False
-        for v in bits(active):
-            if not forced_in_masks(adj, v, lb):
-                continue
-            nb = adj[v]
-            deg = nb.bit_count()
-            if deg > g_value:
-                g_value = deg
-            _eliminate_in_place(adj, v)
-            active &= ~(1 << v)
-            forced.append(v)
-            last_nb = nb
-            fired = True
-            break
-        if not fired:
-            return active, g_value, last_nb
+        v = next((v for v in bits(active) if forced_in_masks(adj, v, lb)), None)
+        if v is None:
+            return active, g_value
+        nb = adj[v]
+        deg = nb.bit_count()
+        if deg > g_value:
+            g_value = deg
+        _eliminate_in_place(adj, v)
+        active &= ~(1 << v)
+        forced.append((v, nb))
 
 
 def _edge_addition_sweep(
@@ -125,29 +104,22 @@ def _reduce_masks(
     lb: int,
     ub: int | None,
     do_reductions: bool,
-    do_edge_addition: bool,
-) -> tuple[int, int, list[int], list[tuple[int, int]], int | None]:
+) -> tuple[int, int, list[tuple[int, int]], list[tuple[int, int]]]:
     """Joint fixed point over scratch masks, updated in place.
 
-    Returns the new active mask, the new g value, the forced eliminations,
-    the added edges, and the neighborhood mask of the last forced vertex
-    (None when nothing was forced).
+    Edge addition runs exactly when ub is not None.  Returns the new
+    active mask, the new g value, the forced eliminations as (vertex,
+    neighborhood mask at elimination) pairs, and the added edges.
     """
-    forced: list[int] = []
+    forced: list[tuple[int, int]] = []
     added: list[tuple[int, int]] = []
-    last_nb = None
     while True:
         if do_reductions:
             gate = lb if lb >= g_value else g_value
-            active, g_value, nb = _reduction_sweep(adj, active, g_value, gate, forced)
-            if nb is not None:
-                last_nb = nb
-        if not (do_edge_addition and ub is not None):
-            return active, g_value, forced, added, last_nb
-        if not _edge_addition_sweep(adj, active, ub, added):
-            return active, g_value, forced, added, last_nb
-        if not do_reductions:
-            return active, g_value, forced, added, last_nb
+            active, g_value = _reduction_sweep(adj, active, g_value, gate, forced)
+        grew = ub is not None and _edge_addition_sweep(adj, active, ub, added)
+        if not (grew and do_reductions):
+            return active, g_value, forced, added
 
 
 def reduce_state(
@@ -157,20 +129,21 @@ def reduce_state(
     ub: int | None = None,
     *,
     reductions: bool = True,
-    add_edges: bool = True,
 ) -> ReductionOutcome:
     """Run forced eliminations and forced edge additions to a joint fixed point.
 
     Each elimination round gates the almost-simplicial rule on
     max(lb, current g_value), since the running width is itself a valid
     lower bound on the state's answer.  Edge addition needs a known upper
-    bound; pass ub=None (or add_edges=False) to skip it.
+    bound; ub=None skips it, and reductions=False skips the eliminations.
     """
     adj = list(g._adj)
-    active, g_value, forced, added, _ = _reduce_masks(
-        adj, g.active_mask, g_value, lb, ub, reductions, add_edges
+    active, g_value, forced, added = _reduce_masks(
+        adj, g.active_mask, g_value, lb, ub, reductions
     )
     if not forced and not added:
         return ReductionOutcome(g, (), g_value, frozenset())
     reduced = Graph._from_masks(g.n, adj, active)
-    return ReductionOutcome(reduced, tuple(forced), g_value, frozenset(added))
+    return ReductionOutcome(
+        reduced, tuple(v for v, _ in forced), g_value, frozenset(added)
+    )

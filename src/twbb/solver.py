@@ -32,9 +32,10 @@ from .graph import (
     bits,
     connected_components,
     fill_touched_in_masks,
+    forced_in_masks,
 )
 from .heuristics import EliminationOrder, HeuristicConfig, best_upper_bound
-from .reduction import _reduce_masks, forced_in_masks
+from .reduction import _reduce_masks
 
 __all__ = [
     "LB_KINDS",
@@ -223,17 +224,16 @@ def _bound(graph, prefix, g, f, h_pre, last, last_nb, ub, cfg, h_func):
     if max(f, g, h_pre) >= ub:
         return None
     h = h_pre
-    if cfg.reductions or cfg.edge_addition:
-        adj = list(graph._adj)
-        act, g, forced, added, lnb = _reduce_masks(
-            adj, graph.active_mask, g, h_pre, ub, cfg.reductions, cfg.edge_addition
-        )
-        if forced or added:
-            graph = Graph._from_masks(graph.n, adj, act)
-            h = h_func(graph, cap=ub) if len(graph) >= 2 else 0
-        if forced:
-            prefix += tuple(forced)
-            last, last_nb = forced[-1], lnb
+    adj = list(graph._adj)
+    act, g, forced, added = _reduce_masks(
+        adj, graph.active_mask, g, h_pre, ub if cfg.edge_addition else None, cfg.reductions
+    )
+    if forced or added:
+        graph = Graph._from_masks(graph.n, adj, act)
+        h = h_func(graph, cap=ub) if len(graph) >= 2 else 0
+    if forced:
+        prefix += tuple(v for v, _ in forced)
+        last, last_nb = forced[-1]
     f = max(f, g, h)
     if f >= ub:
         return None
@@ -323,21 +323,20 @@ def _solve_component(
     cfg: SolverConfig,
     h_func,
     ub: int,
-    best: tuple[int, ...],
     root_lb: int,
     stop,
     report,
 ):
     """Search one connected component.
 
-    ub/best come from the heuristic and root_lb from a lower bound on
-    the intact component.  report(width, order) is called on each
-    improvement.  Returns (width, order, proven_lb, nodes); proven_lb is
-    the width itself unless stop() cut the search short.
+    ub comes from the heuristic and root_lb from a lower bound on the
+    intact component.  report(width, order) is called on each
+    improvement.  Returns (proven_lb, nodes); proven_lb is the final
+    width unless stop() cut the search short.
     """
     root = _bound(sub, (), 0, root_lb, root_lb, None, 0, ub, cfg, h_func)
     if root is None:
-        return ub, best, ub, 0
+        return ub, 0
     lb = root.f
     forb: dict[int, list[int]] = {}
     stack = [_Frame(root, None, 0)]
@@ -359,23 +358,22 @@ def _solve_component(
                 pop_frame()
                 continue
             if stop():
-                return ub, best, lb, nodes
+                return lb, nodes
             nodes += 1
             if len(s.graph) < 2:
-                ub, best = s.g, s.prefix + tuple(s.graph.vertices)
-                report(ub, best)
+                ub = s.g
+                report(ub, s.prefix + tuple(s.graph.vertices))
                 if ub <= lb:
                     break
                 pop_frame()
                 continue
             made = _make_children(s, ub, cfg, forb, h_func, stop)
             if made is None:
-                return ub, best, lb, nodes
+                return lb, nodes
             fr.children, closed = made
-            if cfg.prune_sibling_order:
-                for v, nbmask in closed:
-                    forb.setdefault(v, []).append(nbmask)
-                    fr.entries.append(v)
+            for v, nbmask in closed:
+                forb.setdefault(v, []).append(nbmask)
+                fr.entries.append(v)
             continue
         if fr.idx < len(fr.children):
             bv, nbv, child = fr.children[fr.idx]
@@ -383,7 +381,7 @@ def _solve_component(
             stack.append(_Frame(child, bv, nbv))
             continue
         pop_frame()
-    return ub, best, ub, nodes
+    return ub, nodes
 
 
 def solve(
@@ -448,11 +446,9 @@ def solve(
             comp_best[_i] = (width, order)
             emit()
 
-        w, order, lb, nodes = _solve_component(
-            sub, cfg, h_func, comp_best[i][0], comp_best[i][1], comp_lb[i], stop, report
+        comp_lb[i], nodes = _solve_component(
+            sub, cfg, h_func, comp_best[i][0], comp_lb[i], stop, report
         )
-        comp_best[i] = (w, order)
-        comp_lb[i] = lb
         total_nodes += nodes
 
     best_width = max((w for w, _ in comp_best), default=0)

@@ -258,6 +258,8 @@ def test_07_anytime_run_on_hard_instance(td_dir):
     src = td_dir / "hard.gr"
     src.write_text(write_pace_gr(g))
     td_path = td_dir / "hard.td"
+    pkg_root = str(Path(sys.modules["twbb"].__file__).parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable,
@@ -274,6 +276,7 @@ def test_07_anytime_run_on_hard_instance(td_dir):
         capture_output=True,
         text=True,
         timeout=300,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 2, f"exit {proc.returncode}, stderr: {proc.stderr}"
     payload = json.loads(proc.stdout)

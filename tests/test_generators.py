@@ -156,5 +156,4 @@ def test_jsonl_output():
     lines = records_to_jsonl(records).splitlines()
     assert len(lines) == 3
     assert set(json.loads(lines[0])) == set(FIELDS)
-    assert "aggregate" in json.loads(lines[-1])
-    assert len(records_to_jsonl(records, with_aggregate=False).splitlines()) == 2
+    assert json.loads(lines[-1]) == {"aggregate": aggregate(records)}

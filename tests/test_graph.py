@@ -1,11 +1,14 @@
 """Graph core: construction, rewriting operations, and order widths."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import clique, complete_bipartite, cycle, path, star
 from twbb import Graph, GraphError, connected_components, width_of_order
-from twbb.graph import bits, mask_of
+from twbb.graph import bits, forced_in_masks, mask_of
 
 
 def random_graph_strategy(max_n=9):
@@ -104,6 +107,42 @@ def test_almost_simplicial():
     wheel = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)])
     assert wheel.is_almost_simplicial(1)
     assert not wheel.is_almost_simplicial(0)
+
+
+def _forced_reference(g, v):
+    """(simplicial, almost simplicial) for v by brute force over N(v)."""
+    nb = g.neighbors(v)
+
+    def is_clique(vs):
+        return all(g.has_edge(a, b) for a, b in itertools.combinations(vs, 2))
+
+    return is_clique(nb), any(is_clique(nb - {x}) for x in nb)
+
+
+def _check_forced(g):
+    for v in g.vertices:
+        simplicial, almost = _forced_reference(g, v)
+        assert g.is_almost_simplicial(v) == almost
+        deg = g.degree(v)
+        for lb in range(g.n + 1):
+            expected = simplicial or (deg <= lb and almost)
+            assert forced_in_masks(g._adj, v, lb) == expected, (g.edges(), v, lb)
+
+
+def test_forced_matches_brute_force_on_small_graphs():
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for picks in range(1 << len(pairs)):
+            _check_forced(Graph(n, [e for k, e in enumerate(pairs) if picks >> k & 1]))
+
+
+def test_forced_matches_brute_force_on_random_graphs():
+    rng = random.Random(11)
+    for _ in range(3000):
+        n = rng.randint(2, 12)
+        p = rng.random()
+        pairs = itertools.combinations(range(n), 2)
+        _check_forced(Graph(n, [e for e in pairs if rng.random() < p]))
 
 
 def test_with_edges_and_induced():

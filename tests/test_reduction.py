@@ -13,7 +13,7 @@ def k4_minus_edge():
 
 
 def test_clique_fully_reduces():
-    out = reduce_state(clique(5), add_edges=False)
+    out = reduce_state(clique(5))
     assert out.forced_prefix == (0, 1, 2, 3, 4)
     assert out.g_value == 4
     assert len(out.graph) == 0
@@ -21,7 +21,7 @@ def test_clique_fully_reduces():
 
 
 def test_cycle_clears_when_bound_allows():
-    out = reduce_state(cycle(6), lb=2, add_edges=False)
+    out = reduce_state(cycle(6), lb=2)
     assert len(out.forced_prefix) == 6
     assert out.g_value == 2
     assert len(out.graph) == 0
@@ -29,7 +29,7 @@ def test_cycle_clears_when_bound_allows():
 
 def test_cycle_untouched_below_threshold():
     g = cycle(6)
-    out = reduce_state(g, lb=1, add_edges=False)
+    out = reduce_state(g, lb=1)
     assert not out.changed
     assert out.graph is g
     assert out.g_value == 0
@@ -37,14 +37,14 @@ def test_cycle_untouched_below_threshold():
 
 def test_star_elimination_order():
     # leaves go first in id order; once one leaf is left the center follows
-    out = reduce_state(star(4), add_edges=False)
+    out = reduce_state(star(4))
     assert out.forced_prefix == (1, 2, 3, 0, 4)
     assert out.g_value == 1
     assert len(out.graph) == 0
 
 
 def test_g_value_only_grows():
-    out = reduce_state(clique(5), g_value=7, add_edges=False)
+    out = reduce_state(clique(5), g_value=7)
     assert out.g_value == 7
 
 
@@ -82,7 +82,7 @@ def test_reduce_state_flags():
     g = complete_bipartite(2, 3)
     only_edges = reduce_state(g, ub=2, reductions=False)
     assert only_edges.forced_prefix == () and only_edges.edges_added == {(0, 1)}
-    only_elims = reduce_state(cycle(6), lb=2, add_edges=False)
+    only_elims = reduce_state(cycle(6), lb=2)
     assert len(only_elims.forced_prefix) == 6 and not only_elims.edges_added
 
 
