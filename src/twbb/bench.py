@@ -72,7 +72,7 @@ def run_family(spec, count: int = 30, seed0: int = 0, cfg: SolverConfig | None =
     tag = config_hash(cfg)
     for name, g in _instances(spec, count, seed0):
         report = solve(g, cfg)
-        mf = min_fill_order(g).width or 0
+        mf = min_fill_order(g).width
         yield BenchRecord(
             instance=name,
             n=g.n,

@@ -37,6 +37,8 @@ from .oracle import exact_treewidth
 from .solver import LB_KINDS, SolverConfig, solve
 
 UB_NAMES = {"minfill": "min-fill", "minwidth": "min-width", "mcs": "max-cardinality"}
+# tw solve without flags runs the library's default configuration.
+DEFAULT = SolverConfig()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -206,10 +208,10 @@ def _build_parser() -> _Parser:
     parser.add_argument("-v", "--verbose", action="store_true", help="info-level logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("solve", parents=[], help="solve an instance exactly (anytime)")
+    ps = sub.add_parser("solve", help="solve an instance exactly (anytime)")
     ps.add_argument("file", help=".col or .gr file, or - for stdin")
     ps.add_argument("--time-limit", type=float, default=None, metavar="S")
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--seed", type=int, default=DEFAULT.ub_heuristic.seed)
     ps.add_argument("--no-reduce", action="store_true", help="disable forced eliminations")
     ps.add_argument("--no-edge-add", action="store_true", help="disable forced edge addition")
     ps.add_argument(
@@ -232,9 +234,12 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="branch on all vertices, not only non-neighbors of the last one",
     )
-    ps.add_argument("--lb", choices=LB_KINDS, default="mmw")
-    ps.add_argument("--ub", choices=sorted(UB_NAMES), default="minfill")
-    ps.add_argument("--runs", type=int, default=100, help="upper-bound heuristic restarts")
+    ps.add_argument("--lb", choices=LB_KINDS, default=DEFAULT.lb_kind)
+    ub_flag = {kind: flag for flag, kind in UB_NAMES.items()}[DEFAULT.ub_heuristic.kind]
+    ps.add_argument("--ub", choices=sorted(UB_NAMES), default=ub_flag)
+    ps.add_argument(
+        "--runs", type=int, default=DEFAULT.ub_heuristic.runs, help="upper-bound heuristic restarts"
+    )
     ps.add_argument("--td", metavar="OUT.td", help="write the tree decomposition here")
     ps.add_argument("--json", action="store_true")
     ps.set_defaults(func=_cmd_solve)
@@ -294,10 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
     try:
         return args.func(args)
-    except (ParseError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ParseError, GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,7 +21,7 @@ from .graph import (
     clique_in_masks,
     fill_edges_in_masks,
 )
-from .heuristics import EliminationOrder, max_cardinality_sweep
+from .heuristics import max_cardinality_sweep
 
 __all__ = [
     "TreeDecomposition",
@@ -61,19 +61,13 @@ class ValidationReport:
         return self.valid
 
 
-def _order_vertices(order) -> tuple[int, ...]:
-    if isinstance(order, EliminationOrder):
-        return order.vertices
-    return tuple(order)
-
-
 def triangulate(g: Graph, order) -> Graph:
     """Add the fill edges produced by eliminating along ``order``.
 
     The result contains g, is chordal, and has ``order`` as a perfect
     elimination order.
     """
-    vs = _order_vertices(order)
+    vs = tuple(order)
     check_permutation(g, vs)
     adj = list(g._adj)
     fills = []
@@ -85,7 +79,7 @@ def triangulate(g: Graph, order) -> Graph:
 
 def is_perfect_elimination_order(g: Graph, order) -> bool:
     """True when each vertex is simplicial among the vertices after it."""
-    vs = _order_vertices(order)
+    vs = tuple(order)
     check_permutation(g, vs)
     remaining = g.active_mask
     adj = g._adj
@@ -111,7 +105,7 @@ def build_decomposition(g: Graph, order) -> TreeDecomposition:
     no later neighbor attaches to the next bag so the tree stays connected
     even when the graph is not.
     """
-    vs = _order_vertices(order)
+    vs = tuple(order)
     check_permutation(g, vs)
     if not vs:
         return TreeDecomposition((), ())

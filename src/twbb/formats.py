@@ -37,7 +37,6 @@ def _parse_graph(text: str, fmt_tokens: tuple[str, ...], edge_prefix: str | None
     n = None
     declared_m = None
     edges = set()
-    loops_ok_line = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):

@@ -16,12 +16,19 @@ leave each other forced (simplicial, or almost simplicial with degree
 at most the state's f), and dropping candidates whose fill edges contain
 a sibling's.  Surviving children are then shrunk by the forced-elimination
 and forced-edge rules before being bounded.
+
+Each solve builds one _Search, which holds the settings, the deadline,
+the current component's upper bound and forbidden list, and what has
+been found so far.  The depth-first search keeps an explicit stack
+rather than recursing, because its depth reaches the number of
+vertices.  Entries of the forbidden list are pushed on an undo log, and
+leaving a node pops the log back to the mark it took on entry.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .bounds import mcs_lb, minwidth_lb
 from .bounds import minor_min_width as state_lower_bound
@@ -116,13 +123,12 @@ class RunReport:
 
 
 def _h_factory(kind: str):
-    if kind == "mmw":
-        return state_lower_bound
+    # SolverConfig has checked kind; state_lower_bound is looked up per call.
     if kind == "mcslb":
         return lambda g, cap=None: mcs_lb(g)
     if kind == "mw":
         return lambda g, cap=None: minwidth_lb(g)
-    raise GraphError(f"unknown lower bound kind: {kind!r}")
+    return state_lower_bound
 
 
 def prune_mutual_simplicial(candidates: list[int], g: Graph, lb: int) -> list[int]:
@@ -213,16 +219,18 @@ def prune_fill_subset(candidates: list[int], g: Graph) -> list[int]:
     return keep
 
 
-def _bound(graph, prefix, g, f, h_pre, last, last_nb, ub, cfg, h_func):
-    """Shrink a state by the forced rules and bound it; None once f >= ub.
+def _bound(search, graph, prefix, g, f, h_pre, last, last_nb):
+    """Shrink a state by the forced rules and bound it; None once f >= search.ub.
 
     graph is what remains after prefix, of width g; f is the bound the
     state inherits and h_pre a lower bound for graph.  The enabled forced
     eliminations and edge additions run on a copy, and h is recomputed
     only when they changed the graph.
     """
+    ub = search.ub
     if max(f, g, h_pre) >= ub:
         return None
+    cfg = search.cfg
     h = h_pre
     adj = list(graph._adj)
     act, g, forced, added = _reduce_masks(
@@ -230,7 +238,7 @@ def _bound(graph, prefix, g, f, h_pre, last, last_nb, ub, cfg, h_func):
     )
     if forced or added:
         graph = Graph._from_masks(graph.n, adj, act)
-        h = h_func(graph, cap=ub) if len(graph) >= 2 else 0
+        h = search.h(graph, cap=ub) if len(graph) >= 2 else 0
     if forced:
         prefix += tuple(v for v, _ in forced)
         last, last_nb = forced[-1]
@@ -240,23 +248,25 @@ def _bound(graph, prefix, g, f, h_pre, last, last_nb, ub, cfg, h_func):
     return SearchState(graph, prefix, g, h, f, last, last_nb)
 
 
-def _make_children(s: SearchState, ub: int, cfg: SolverConfig, forb, h_func, stop):
+def _make_children(search, s: SearchState):
     """Generate, filter, shrink and bound the children of a state.
 
-    forb is the forbidden list: it maps a vertex to the neighborhood
-    masks it had when an earlier sibling finished exploring it.
-    Re-eliminating the vertex while its neighborhood still equals one of
-    them cannot lead anywhere new: nothing eliminated since touched it,
-    so it commutes with those eliminations.  A vertex adjacent to the
-    sibling never matches, because its neighborhood lost the sibling.
+    search.forb is the forbidden list: it maps a vertex to the
+    neighborhood masks it had when an earlier sibling finished exploring
+    it.  Re-eliminating the vertex while its neighborhood still equals
+    one of them cannot lead anywhere new: nothing eliminated since
+    touched it, so it commutes with those eliminations.  A vertex
+    adjacent to the sibling never matches, because its neighborhood lost
+    the sibling.
 
-    Returns (children, closed), or None when stop() fires before a
-    candidate.  children holds (branch-vertex, neighborhood-at-
+    Returns (children, closed), or None when search.stop() fires before
+    a candidate.  children holds (branch-vertex, neighborhood-at-
     elimination, state) triples in ascending (f, vertex) order; closed
     holds the same pair data for candidates discarded because their
     bound already reached ub, which are as concluded as an explored
     sibling for forbidden-list purposes.
     """
+    cfg, forb, h, ub = search.cfg, search.forb, search.h, search.ub
     g = s.graph
     active = g.active_mask
     cand_mask = active
@@ -273,13 +283,13 @@ def _make_children(s: SearchState, ub: int, cfg: SolverConfig, forb, h_func, sto
     children = []
     closed = []
     for v in cands:
-        if stop():
+        if search.stop():
             return None
         nbv = g._adj[v]
         gv = max(s.g, nbv.bit_count())
         child = g.eliminate(v)
-        h_pre = h_func(child, cap=ub)
-        state = _bound(child, s.prefix + (v,), gv, s.f, h_pre, v, nbv, ub, cfg, h_func)
+        h_pre = h(child, cap=ub)
+        state = _bound(search, child, s.prefix + (v,), gv, s.f, h_pre, v, nbv)
         if state is None:
             closed.append((v, nbv))
         else:
@@ -298,90 +308,109 @@ def expand(
 
     forbidden is a fixed forbidden list for the sibling-order rule, in
     the engine's form: vertex -> neighborhood masks at which it is closed.
+    It is only read.  cfg.time_limit is ignored.
     """
     if len(s.graph) < 2:
         raise GraphError("expand requires a state with at least two vertices")
-    h_func = _h_factory(cfg.lb_kind)
-    children, _ = _make_children(s, ub, cfg, forbidden or {}, h_func, lambda: False)
+    search = _Search(replace(cfg, time_limit=None))
+    search.ub, search.forb = ub, forbidden or {}
+    children, _ = _make_children(search, s)
     return [state for _, _, state in children]
 
 
-class _Frame:
-    __slots__ = ("state", "branch", "branch_nb", "children", "idx", "entries")
+class _Search:
+    """One solve: its settings, its deadline and what it has found so far.
 
-    def __init__(self, state, branch, branch_nb):
-        self.state = state
-        self.branch = branch
-        self.branch_nb = branch_nb
-        self.children = None
-        self.idx = 0
-        self.entries = []
-
-
-def _solve_component(
-    sub: Graph,
-    cfg: SolverConfig,
-    h_func,
-    ub: int,
-    root_lb: int,
-    stop,
-    report,
-):
-    """Search one connected component.
-
-    ub comes from the heuristic and root_lb from a lower bound on the
-    intact component.  report(width, order) is called on each
-    improvement.  Returns (proven_lb, nodes); proven_lb is the final
-    width unless stop() cut the search short.
+    h is the lower bound function.  ub and forb belong to the component
+    being searched: its best width so far and its forbidden list (see
+    _make_children).  nodes counts expansions over all components, best
+    holds each component's best (width, order) and trace the improvements
+    of the width over all of them.
     """
-    root = _bound(sub, (), 0, root_lb, root_lb, None, 0, ub, cfg, h_func)
-    if root is None:
-        return ub, 0
-    lb = root.f
-    forb: dict[int, list[int]] = {}
-    stack = [_Frame(root, None, 0)]
-    nodes = 0
 
-    def pop_frame():
-        fr = stack.pop()
-        for v in reversed(fr.entries):
-            forb[v].pop()
-        if stack and fr.branch is not None:
-            forb.setdefault(fr.branch, []).append(fr.branch_nb)
-            stack[-1].entries.append(fr.branch)
+    def __init__(self, cfg: SolverConfig, should_stop=None, on_improvement=None):
+        self.cfg = cfg
+        self.h = _h_factory(cfg.lb_kind)
+        self.t0 = time.monotonic()
+        self.deadline = None if cfg.time_limit is None else self.t0 + cfg.time_limit
+        self.should_stop = should_stop
+        self.on_improvement = on_improvement
+        self.ub = 0
+        self.forb: dict[int, list[int]] = {}
+        self.nodes = 0
+        self.best: list[tuple[int, tuple[int, ...]]] = []
+        self.trace: list[tuple[float, int]] = []
 
-    while stack:
-        fr = stack[-1]
-        if fr.children is None:
-            s = fr.state
-            if s.f >= ub:
-                pop_frame()
-                continue
-            if stop():
-                return lb, nodes
-            nodes += 1
-            if len(s.graph) < 2:
-                ub = s.g
-                report(ub, s.prefix + tuple(s.graph.vertices))
-                if ub <= lb:
-                    break
-                pop_frame()
-                continue
-            made = _make_children(s, ub, cfg, forb, h_func, stop)
-            if made is None:
-                return lb, nodes
-            fr.children, closed = made
-            for v, nbmask in closed:
-                forb.setdefault(v, []).append(nbmask)
-                fr.entries.append(v)
-            continue
-        if fr.idx < len(fr.children):
-            bv, nbv, child = fr.children[fr.idx]
-            fr.idx += 1
-            stack.append(_Frame(child, bv, nbv))
-            continue
-        pop_frame()
-    return ub, nodes
+    def stop(self) -> bool:
+        if self.deadline is not None and time.monotonic() >= self.deadline:
+            return True
+        return self.should_stop is not None and self.should_stop()
+
+    def width(self) -> int:
+        return max((w for w, _ in self.best), default=0)
+
+    def order(self) -> tuple[int, ...]:
+        return tuple(v for _, vs in self.best for v in vs)
+
+    def emit(self):
+        """Record the width over all components if it dropped."""
+        width = self.width()
+        if not self.trace or width < self.trace[-1][1]:
+            el = time.monotonic() - self.t0
+            self.trace.append((el, width))
+            if self.on_improvement is not None:
+                self.on_improvement(el, width, self.order())
+
+    def search_component(self, i: int, sub: Graph, root_lb: int) -> int:
+        """Search component i, the graph sub, below its best width so far.
+
+        root_lb is a lower bound on the intact component.  Returns the
+        proven lower bound, which is the final width unless stop() cut
+        the search short.
+        """
+        self.ub = self.best[i][0]
+        self.forb = forb = {}
+        root = _bound(self, sub, (), 0, root_lb, root_lb, None, 0)
+        if root is None:
+            return self.ub
+        lb = root.f
+        # Each entry is (children left, undo-log mark, branch vertex, its
+        # neighborhood).  Popping an entry pops every vertex logged since
+        # its mark off forb, then closes its branch vertex in the parent.
+        log: list[int] = []
+        stack = []
+        v, nbv, s = None, 0, root
+        while True:
+            children, closed = (), ()
+            if s.f < self.ub:
+                if self.stop():
+                    return lb
+                self.nodes += 1
+                if len(s.graph) < 2:
+                    self.ub = s.g
+                    self.best[i] = (s.g, s.prefix + tuple(s.graph.vertices))
+                    self.emit()
+                    if s.g <= lb:
+                        return s.g
+                else:
+                    made = _make_children(self, s)
+                    if made is None:
+                        return lb
+                    children, closed = made
+            stack.append((iter(children), len(log), v, nbv))
+            for c, cnb in closed:
+                forb.setdefault(c, []).append(cnb)
+                log.append(c)
+            while stack and (nxt := next(stack[-1][0], None)) is None:
+                _, mark, bv, bnb = stack.pop()
+                while len(log) > mark:
+                    forb[log.pop()].pop()
+                if stack:
+                    forb.setdefault(bv, []).append(bnb)
+                    log.append(bv)
+            if not stack:
+                return self.ub
+            v, nbv, s = nxt
 
 
 def solve(
@@ -401,66 +430,27 @@ def solve(
     between branch candidates and at node boundaries.  Completed runs
     are fully deterministic for a given configuration.
     """
-    cfg = cfg or SolverConfig()
-    t0 = time.monotonic()
-    deadline = t0 + cfg.time_limit if cfg.time_limit is not None else None
-
-    def stop() -> bool:
-        if deadline is not None and time.monotonic() >= deadline:
-            return True
-        return should_stop is not None and should_stop()
-
-    h_func = _h_factory(cfg.lb_kind)
+    search = _Search(cfg or SolverConfig(), should_stop, on_improvement)
     subs = [g.induced(c) for c in connected_components(g)]
-    comp_best: list[tuple[int, tuple[int, ...]]] = []
-    comp_lb: list[int] = []
+    lbs = []
     for sub in subs:
-        w, order = best_upper_bound(sub, cfg.ub_heuristic, stop)
-        comp_best.append((w, order.vertices))
-        comp_lb.append(h_func(sub, cap=None))
-
-    def global_order() -> tuple[int, ...]:
-        out: list[int] = []
-        for _, vs in comp_best:
-            out.extend(vs)
-        return tuple(out)
-
-    trace: list[tuple[float, int]] = []
-
-    def emit():
-        width = max((w for w, _ in comp_best), default=0)
-        if not trace or width < trace[-1][1]:
-            el = time.monotonic() - t0
-            trace.append((el, width))
-            if on_improvement is not None:
-                on_improvement(el, width, global_order())
-
-    emit()
-
-    total_nodes = 0
+        w, order = best_upper_bound(sub, search.cfg.ub_heuristic, search.stop)
+        search.best.append((w, order.vertices))
+        lbs.append(search.h(sub, cap=None))
+    search.emit()
     for i, sub in enumerate(subs):
-        if stop():
+        if search.stop():
             break
+        lbs[i] = search.search_component(i, sub, lbs[i])
 
-        def report(width, order, _i=i):
-            comp_best[_i] = (width, order)
-            emit()
-
-        comp_lb[i], nodes = _solve_component(
-            sub, cfg, h_func, comp_best[i][0], comp_lb[i], stop, report
-        )
-        total_nodes += nodes
-
-    best_width = max((w for w, _ in comp_best), default=0)
-    proven_lb = min(max(comp_lb, default=0), best_width)
-    optimal = proven_lb == best_width
-    elapsed = time.monotonic() - t0
+    best_width = search.width()
+    proven_lb = min(max(lbs, default=0), best_width)
     return RunReport(
         best_width,
-        EliminationOrder(global_order(), best_width),
+        EliminationOrder(search.order(), best_width),
         proven_lb,
-        optimal,
-        total_nodes,
-        elapsed,
-        trace,
+        proven_lb == best_width,
+        search.nodes,
+        time.monotonic() - search.t0,
+        search.trace,
     )

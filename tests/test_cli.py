@@ -5,7 +5,9 @@ import json
 
 import pytest
 from conftest import cycle
+import twbb.cli
 from twbb import (
+    SolverConfig,
     mycielski,
     parse_pace_gr,
     parse_pace_td,
@@ -76,6 +78,16 @@ def test_solve_time_limited_exit_code(tmp_path, capsys):
     assert main(["solve", str(p), "--time-limit", "0"]) == 2
     out = capsys.readouterr().out
     assert "best found (lb 12)" in out
+
+
+def test_solve_defaults_are_the_library_defaults(c5_gr, monkeypatch, capsys):
+    seen = []
+    real = twbb.cli.solve
+    monkeypatch.setattr(
+        twbb.cli, "solve", lambda g, cfg, **kw: seen.append(cfg) or real(g, cfg, **kw)
+    )
+    assert main(["solve", c5_gr]) == 0
+    assert seen == [SolverConfig()]
 
 
 def test_solve_all_toggles(c5_gr, capsys):

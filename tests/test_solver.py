@@ -22,6 +22,7 @@ from twbb import (
     RandomGraphSpec,
     SearchState,
     SolverConfig,
+    connected_components,
     expand,
     gen_partial_ktree,
     gen_random,
@@ -125,6 +126,58 @@ def test_disconnected_components():
     assert r.best_width == 3 and r.optimal
     assert sorted(r.best_order.vertices) == list(range(12))
     check_report(g, r)
+
+
+def test_components_are_searched_independently():
+    # each component starts from its own heuristic width and forbidden list
+    g = disjoint_union(myciel(4), petersen(), gen_random(RandomGraphSpec(25, 50, 6)), cycle(6))
+    r = solve(g, RUNS1)
+    parts = [solve(g.induced(c), RUNS1) for c in connected_components(g)]
+    assert r.nodes_expanded == sum(p.nodes_expanded for p in parts) > 267
+    assert r.best_width == max(p.best_width for p in parts)
+    assert r.best_order.vertices == tuple(v for p in parts for v in p.best_order.vertices)
+    check_report(g, r)
+
+
+# Node counts and orders under one min-fill run.  A change that alters
+# them on purpose updates this table and names the cause in CHANGES.md.
+PINNED = [
+    (
+        myciel(4),
+        267,
+        (16, 18, 19, 17, 20, 5, 6, 14, 8, 11, 12, 3, 0, 1, 2, 4, 7, 9, 10, 13, 15, 21, 22),
+    ),
+    (
+        queen_graph(5),
+        1123,
+        (0, 14, 23, 7, 2, 3, 5, 9, 13, 16, 1, 4, 6, 8, 10, 11, 12, 15, 17, 18, 19, 20, 21, 22, 24),
+    ),
+    (
+        gen_random(RandomGraphSpec(25, 50, 5)),
+        150,
+        (11, 17, 18, 19, 21, 23, 16, 22, 10, 14, 12, 20, 5, 8, 7, 13, 1, 0, 2, 3, 4, 6, 9, 15, 24),
+    ),
+    (
+        gen_random(RandomGraphSpec(25, 50, 6)),
+        125,
+        (8, 10, 22, 1, 3, 7, 19, 5, 16, 6, 13, 23, 12, 18, 0, 20, 11, 14, 15, 2, 4, 9, 17, 21, 24),
+    ),
+    (
+        gen_random(RandomGraphSpec(25, 50, 10)),
+        368,
+        (2, 4, 19, 1, 7, 10, 13, 15, 22, 8, 5, 18, 6, 16, 21, 17, 0, 14, 20, 3, 9, 11, 12, 23, 24),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "g,nodes,order", PINNED, ids=["myciel4", "queen5", "g25-50-s5", "g25-50-s6", "g25-50-s10"]
+)
+def test_search_is_pinned(g, nodes, order):
+    r = solve(g, RUNS1)
+    assert r.optimal
+    assert r.nodes_expanded == nodes
+    assert r.best_order.vertices == order
 
 
 def test_matches_oracle_on_random_graphs():
@@ -251,6 +304,9 @@ def test_expand_requires_two_vertices():
 def test_expand_plain_children():
     kids = expand(SearchState(cycle(5), (), 0, 0, 0), 10, ALL_OFF)
     assert [k.prefix for k in kids] == [(0,), (1,), (2,), (3,), (4,)]
+    # expand ignores cfg.time_limit
+    no_time = replace(ALL_OFF, time_limit=0.0)
+    assert expand(SearchState(cycle(5), (), 0, 0, 0), 10, no_time) == kids
     assert all((k.g, k.h, k.f) == (2, 2, 2) for k in kids)
     fs = [k.f for k in kids]
     assert fs == sorted(fs)
@@ -294,6 +350,7 @@ def test_prune_sibling_order_matches_snapshot():
     forbidden = {1: [g._adj[1]]}
     kids = expand(SearchState(g, (), 0, 0, 0), 10, cfg, forbidden)
     assert [k.prefix for k in kids] == [(0,), (2,), (3,)]
+    assert forbidden == {1: [g._adj[1]]}
     # the rule is off, or the neighborhood no longer matches the snapshot
     kids = expand(SearchState(g, (), 0, 0, 0), 10, ALL_OFF, forbidden)
     assert [k.prefix for k in kids] == [(0,), (1,), (2,), (3,)]
