@@ -38,7 +38,6 @@ from .generators import (
 from .graph import Graph, GraphError, connected_components, width_of_order
 from .heuristics import (
     EliminationOrder,
-    HeuristicConfig,
     best_upper_bound,
     max_cardinality_order,
     min_fill_order,
@@ -62,7 +61,6 @@ __all__ = [
     "EliminationOrder",
     "Graph",
     "GraphError",
-    "HeuristicConfig",
     "OracleResult",
     "ParseError",
     "PartialKTreeSpec",

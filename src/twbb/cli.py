@@ -11,7 +11,6 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import replace
 
 from .bench import (
     PartialKTreeSpec,
@@ -32,7 +31,6 @@ from .formats import (
 )
 from .generators import gen_partial_ktree, gen_random
 from .graph import GraphError
-from .heuristics import HeuristicConfig
 from .oracle import exact_treewidth
 from .solver import LB_KINDS, SolverConfig, solve
 
@@ -76,7 +74,7 @@ def _solver_config(args) -> SolverConfig:
         prune_mutual_simplicial=not args.no_prune_mutual,
         prune_fill_subset=not args.no_prune_fill,
         successor_restriction=not args.no_successor,
-        ub_heuristic=HeuristicConfig(UB_NAMES[args.ub], runs=args.runs, seed=args.seed),
+        ub_kind=UB_NAMES[args.ub],
         lb_kind=args.lb,
     )
 
@@ -186,8 +184,7 @@ def _cmd_bench(args) -> int:
         spec = RandomGraphSpec(args.n, args.m, 0)
     else:
         spec = PartialKTreeSpec(args.n, args.k, args.p, 0)
-    heuristic = replace(SolverConfig().ub_heuristic, seed=args.seed)
-    cfg = SolverConfig(time_limit=args.time_limit, ub_heuristic=heuristic)
+    cfg = SolverConfig(time_limit=args.time_limit)
     records = list(run_family(spec, count=args.count, seed0=args.seed0, cfg=cfg))
     if args.format == "csv":
         text = records_to_csv(records)
@@ -211,7 +208,6 @@ def _build_parser() -> _Parser:
     ps = sub.add_parser("solve", help="solve an instance exactly (anytime)")
     ps.add_argument("file", help=".col or .gr file, or - for stdin")
     ps.add_argument("--time-limit", type=float, default=None, metavar="S")
-    ps.add_argument("--seed", type=int, default=DEFAULT.ub_heuristic.seed)
     ps.add_argument("--no-reduce", action="store_true", help="disable forced eliminations")
     ps.add_argument("--no-edge-add", action="store_true", help="disable forced edge addition")
     ps.add_argument(
@@ -235,11 +231,8 @@ def _build_parser() -> _Parser:
         help="branch on all vertices, not only non-neighbors of the last one",
     )
     ps.add_argument("--lb", choices=LB_KINDS, default=DEFAULT.lb_kind)
-    ub_flag = {kind: flag for flag, kind in UB_NAMES.items()}[DEFAULT.ub_heuristic.kind]
-    ps.add_argument("--ub", choices=sorted(UB_NAMES), default=ub_flag)
-    ps.add_argument(
-        "--runs", type=int, default=DEFAULT.ub_heuristic.runs, help="upper-bound heuristic restarts"
-    )
+    ub_flag = {kind: flag for flag, kind in UB_NAMES.items()}[DEFAULT.ub_kind]
+    ps.add_argument("--ub", choices=sorted(UB_NAMES), default=ub_flag, help="upper-bound heuristic")
     ps.add_argument("--td", metavar="OUT.td", help="write the tree decomposition here")
     ps.add_argument("--json", action="store_true")
     ps.set_defaults(func=_cmd_solve)
@@ -284,7 +277,6 @@ def _build_parser() -> _Parser:
     for b in (br, bk):
         b.add_argument("--count", type=int, default=30)
         b.add_argument("--seed0", type=int, default=0)
-        b.add_argument("--seed", type=int, default=0, help="solver heuristic seed")
         b.add_argument("--time-limit", type=float, default=None)
         b.add_argument("--format", choices=("csv", "jsonl"), default="csv")
         b.add_argument("--out")

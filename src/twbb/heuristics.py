@@ -3,14 +3,14 @@
 Three step rules: min-fill picks the vertex whose elimination adds the
 fewest edges, min-width picks a minimum-degree vertex and removes it
 without fill, max-cardinality labels vertices by how many labeled
-neighbors they have and eliminates in reverse label order.  In all cases
-the reported width is the true width of the produced order under
-elimination with fill.
+neighbors they have and eliminates in reverse label order.  Ties go to
+the lowest vertex id, so each order is a deterministic function of the
+graph.  In all cases the reported width is the true width of the
+produced order under elimination with fill.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .graph import (
@@ -43,36 +43,10 @@ class EliminationOrder:
         return self.vertices[i]
 
 
-@dataclass(frozen=True)
-class HeuristicConfig:
-    kind: str = "min-fill"
-    runs: int = 1
-    seed: int = 0
+def min_fill_order(g: Graph) -> EliminationOrder:
+    """Greedy order minimizing fill at each step; ties go to the lowest id.
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise GraphError(f"unknown heuristic kind {self.kind!r}; expected one of {KINDS}")
-        if self.runs < 1:
-            raise GraphError("runs must be at least 1")
-
-
-def _pick_min(values, keys, rng):
-    """The value with the minimum key; ties go to the rng or to the first (lowest id)."""
-    best_key = None
-    ties = []
-    for v, k in zip(values, keys):
-        if best_key is None or k < best_key:
-            best_key, ties = k, [v]
-        elif k == best_key:
-            ties.append(v)
-    return ties[0] if rng is None or len(ties) == 1 else rng.choice(ties)
-
-
-def min_fill_order(g: Graph, rng: random.Random | None = None) -> EliminationOrder:
-    """Greedy order minimizing fill at each step; rng breaks ties when given.
-
-    Fill counts are cached and recomputed only near the eliminated vertex,
-    which matters because this runs many times per solve.
+    Fill counts are cached and recomputed only near the eliminated vertex.
     """
     adj = list(g._adj)
     active = g.active_mask
@@ -82,8 +56,7 @@ def min_fill_order(g: Graph, rng: random.Random | None = None) -> EliminationOrd
     order = []
     width = 0
     while active:
-        vs = list(bits(active))
-        v = _pick_min(vs, (fill[x] for x in vs), rng)
+        v = min(bits(active), key=fill.__getitem__)
         d = adj[v].bit_count()
         if d > width:
             width = d
@@ -102,21 +75,18 @@ def min_fill_order(g: Graph, rng: random.Random | None = None) -> EliminationOrd
     return EliminationOrder(tuple(order), width)
 
 
-def min_degree_sweep(
-    g: Graph, rng: random.Random | None = None
-) -> tuple[list[int], int]:
+def min_degree_sweep(g: Graph) -> tuple[list[int], int]:
     """Repeatedly remove a minimum-degree vertex without adding fill.
 
     Returns the removal order and the largest degree a vertex had when it
-    was removed.  Ties go to the lowest id, or to rng when given.
+    was removed.  Ties go to the lowest id.
     """
     adj = list(g._adj)
     active = g.active_mask
     order = []
     value = 0
     while active:
-        vs = list(bits(active))
-        v = _pick_min(vs, (adj[x].bit_count() for x in vs), rng)
+        v = min(bits(active), key=lambda x: adj[x].bit_count())
         d = adj[v].bit_count()
         if d > value:
             value = d
@@ -126,9 +96,9 @@ def min_degree_sweep(
     return order, value
 
 
-def min_width_order(g: Graph, rng: random.Random | None = None) -> EliminationOrder:
+def min_width_order(g: Graph) -> EliminationOrder:
     """Order by repeated minimum-degree removal (no fill during selection)."""
-    order, _ = min_degree_sweep(g, rng)
+    order, _ = min_degree_sweep(g)
     return EliminationOrder(tuple(order), width_of_order(g, order))
 
 
@@ -176,28 +146,12 @@ def max_cardinality_order(g: Graph, start: int | None = None) -> EliminationOrde
     return EliminationOrder(tuple(visit), width_of_order(g, visit))
 
 
-def best_upper_bound(g: Graph, cfg: HeuristicConfig, stop=None) -> tuple[int, EliminationOrder]:
-    """Best order over cfg.runs repetitions.
-
-    Run 0 is the deterministic variant; later runs draw from independent
-    streams seeded by (cfg.seed, run index), so results for a given prefix
-    of runs never change as runs grows.  stop(), when given, is polled
-    before every run after run 0 and ends the restarts once true.
-    """
-    if len(g) == 0:
-        return 0, EliminationOrder((), 0)
-    best = None
-    for i in range(cfg.runs):
-        if i and stop is not None and stop():
-            break
-        rng = None if i == 0 else random.Random(f"{cfg.seed}:{i}")
-        if cfg.kind == "min-fill":
-            order = min_fill_order(g, rng)
-        elif cfg.kind == "min-width":
-            order = min_width_order(g, rng)
-        else:
-            start = None if rng is None else rng.choice(g.vertices)
-            order = max_cardinality_order(g, start)
-        if best is None or order.width < best.width:
-            best = order
-    return best.width, best
+def best_upper_bound(g: Graph, kind: str) -> EliminationOrder:
+    """The order of one run of the heuristic named kind (one of KINDS)."""
+    if kind == "min-fill":
+        return min_fill_order(g)
+    if kind == "min-width":
+        return min_width_order(g)
+    if kind == "max-cardinality":
+        return max_cardinality_order(g)
+    raise GraphError(f"unknown heuristic kind: {kind!r}")

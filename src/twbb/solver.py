@@ -41,7 +41,7 @@ from .graph import (
     fill_touched_in_masks,
     forced_in_masks,
 )
-from .heuristics import EliminationOrder, HeuristicConfig, best_upper_bound
+from .heuristics import KINDS, EliminationOrder, best_upper_bound
 from .reduction import _reduce_masks
 
 __all__ = [
@@ -62,8 +62,9 @@ LB_KINDS = ("mmw", "mcslb", "mw")
 class SolverConfig:
     """Search settings; every rule can be toggled independently.
 
-    ub_heuristic gives the initial upper bound and holds the only seed;
-    the search itself is deterministic.
+    ub_kind names the heuristic (one of heuristics.KINDS) whose single
+    deterministic run gives the initial upper bound; lb_kind names the
+    lower bound used at every state.
     """
 
     time_limit: float | None = None
@@ -73,10 +74,12 @@ class SolverConfig:
     prune_mutual_simplicial: bool = True
     prune_fill_subset: bool = True
     successor_restriction: bool = True
-    ub_heuristic: HeuristicConfig = HeuristicConfig("min-fill", runs=100)
+    ub_kind: str = "min-fill"
     lb_kind: str = "mmw"
 
     def __post_init__(self):
+        if self.ub_kind not in KINDS:
+            raise GraphError(f"unknown heuristic kind: {self.ub_kind!r}")
         if self.lb_kind not in LB_KINDS:
             raise GraphError(f"unknown lower bound kind: {self.lb_kind!r}")
 
@@ -426,16 +429,17 @@ def solve(
     width, order) is called synchronously for the initial heuristic
     solution and every improvement.  The search stops once
     cfg.time_limit seconds have passed or should_stop() returns true;
-    both are checked between heuristic runs (run 0 always completes),
-    between branch candidates and at node boundaries.  Completed runs
-    are fully deterministic for a given configuration.
+    both are checked between branch candidates and at node boundaries,
+    after the one heuristic run per component has completed.  Every
+    solve that is not cut short is deterministic for a given
+    configuration.
     """
     search = _Search(cfg or SolverConfig(), should_stop, on_improvement)
     subs = [g.induced(c) for c in connected_components(g)]
     lbs = []
     for sub in subs:
-        w, order = best_upper_bound(sub, search.cfg.ub_heuristic, search.stop)
-        search.best.append((w, order.vertices))
+        order = best_upper_bound(sub, search.cfg.ub_kind)
+        search.best.append((order.width, order.vertices))
         lbs.append(search.h(sub, cap=None))
     search.emit()
     for i, sub in enumerate(subs):

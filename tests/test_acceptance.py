@@ -20,7 +20,6 @@ from pathlib import Path
 import pytest
 from twbb import (
     Graph,
-    HeuristicConfig,
     PartialKTreeSpec,
     RandomGraphSpec,
     SolverConfig,
@@ -43,8 +42,6 @@ from twbb import (
 )
 from twbb.cli import main as cli_main
 from twbb.oracle import exact_treewidth
-
-RUNS1 = HeuristicConfig("min-fill", runs=1, seed=0)
 
 TOGGLES = (
     "reductions",
@@ -103,8 +100,8 @@ def td_dir(tmp_path_factory):
 
 
 def test_01_exact_treewidth_on_small_graph_sweep(sweep):
-    configs = [SolverConfig(ub_heuristic=RUNS1)]
-    configs += [SolverConfig(ub_heuristic=RUNS1, **{t: False}) for t in TOGGLES]
+    configs = [SolverConfig()]
+    configs += [SolverConfig(**{t: False}) for t in TOGGLES]
     solves = 0
     for cfg in configs:
         for g, tw in sweep:

@@ -104,8 +104,6 @@ def test_solve_all_toggles(c5_gr, capsys):
         "mcslb",
         "--ub",
         "mcs",
-        "--runs",
-        "3",
     ]
     assert main(args) == 0
     assert "width 2 (optimal)" in capsys.readouterr().out

@@ -9,7 +9,6 @@ from conftest import clique
 from twbb import (
     Graph,
     GraphError,
-    HeuristicConfig,
     PartialKTreeSpec,
     RandomGraphSpec,
     SolverConfig,
@@ -127,8 +126,7 @@ def test_config_hash():
     a = config_hash(SolverConfig())
     assert a == config_hash(SolverConfig())
     assert a != config_hash(SolverConfig(reductions=False))
-    reseeded = HeuristicConfig("min-fill", runs=100, seed=1)
-    assert a != config_hash(SolverConfig(ub_heuristic=reseeded))
+    assert a != config_hash(SolverConfig(ub_kind="min-width"))
 
 
 def test_aggregate():

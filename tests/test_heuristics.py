@@ -1,4 +1,4 @@
-"""Upper-bound heuristics: greedy orders and the randomized-restart wrapper."""
+"""Upper-bound heuristics: the greedy orders and the dispatch over their kinds."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from conftest import clique, complete_bipartite, cycle, grid, path, star
 from twbb import (
     Graph,
     GraphError,
-    HeuristicConfig,
     best_upper_bound,
     max_cardinality_order,
     min_fill_order,
@@ -14,7 +13,7 @@ from twbb import (
     mycielski,
     width_of_order,
 )
-from twbb.heuristics import EliminationOrder
+from twbb.heuristics import KINDS, EliminationOrder
 from twbb.oracle import exact_treewidth
 
 
@@ -27,9 +26,7 @@ def test_elimination_order_behaves_like_a_sequence():
 
 def test_config_validation():
     with pytest.raises(GraphError):
-        HeuristicConfig("no-such-heuristic")
-    with pytest.raises(GraphError):
-        HeuristicConfig("min-fill", runs=0)
+        best_upper_bound(Graph(0, []), "no-such-heuristic")
 
 
 def test_min_fill_is_exact_on_chordal_graphs():
@@ -78,25 +75,19 @@ def test_orders_are_permutations_with_true_widths():
             assert width_of_order(g, o.vertices) == o.width
 
 
-def test_best_upper_bound_deterministic_and_no_worse():
-    g = mycielski(cycle(5))
-    single = min_fill_order(g).width
-    w1, o1 = best_upper_bound(g, HeuristicConfig("min-fill", runs=8, seed=3))
-    w2, o2 = best_upper_bound(g, HeuristicConfig("min-fill", runs=8, seed=3))
-    assert (w1, o1.vertices) == (w2, o2.vertices)
-    assert w1 <= single
-    assert width_of_order(g, o1.vertices) == w1
-
-
 def test_best_upper_bound_first_run_matches_plain_heuristic():
-    g = grid(3, 3)
-    w, order = best_upper_bound(g, HeuristicConfig("min-width", runs=1, seed=9))
-    assert (w, order.vertices) == (
-        min_width_order(g).width,
-        min_width_order(g).vertices,
-    )
+    g = mycielski(cycle(5))  # the three orders differ here
+    plain = {
+        "min-fill": min_fill_order,
+        "min-width": min_width_order,
+        "max-cardinality": max_cardinality_order,
+    }
+    assert sorted(plain) == sorted(KINDS)
+    for kind, fn in plain.items():
+        assert best_upper_bound(g, kind) == fn(g)
 
 
 def test_best_upper_bound_empty_graph():
-    w, order = best_upper_bound(Graph(0, []), HeuristicConfig("min-fill"))
-    assert w == 0 and order.vertices == ()
+    for kind in KINDS:
+        order = best_upper_bound(Graph(0, []), kind)
+        assert order.vertices == () and order.width == 0

@@ -17,7 +17,6 @@ from conftest import (
 from twbb import (
     Graph,
     GraphError,
-    HeuristicConfig,
     PartialKTreeSpec,
     RandomGraphSpec,
     SearchState,
@@ -26,6 +25,7 @@ from twbb import (
     expand,
     gen_partial_ktree,
     gen_random,
+    minor_min_width,
     mycielski,
     prune_fill_subset,
     prune_mutual_simplicial,
@@ -33,6 +33,7 @@ from twbb import (
     solve,
     width_of_order,
 )
+from twbb.heuristics import KINDS
 from twbb.oracle import exact_treewidth
 
 ALL_OFF = SolverConfig(
@@ -43,8 +44,6 @@ ALL_OFF = SolverConfig(
     prune_fill_subset=False,
     successor_restriction=False,
 )
-
-RUNS1 = SolverConfig(ub_heuristic=HeuristicConfig("min-fill", runs=1))
 
 TOGGLES = (
     "reductions",
@@ -131,8 +130,8 @@ def test_disconnected_components():
 def test_components_are_searched_independently():
     # each component starts from its own heuristic width and forbidden list
     g = disjoint_union(myciel(4), petersen(), gen_random(RandomGraphSpec(25, 50, 6)), cycle(6))
-    r = solve(g, RUNS1)
-    parts = [solve(g.induced(c), RUNS1) for c in connected_components(g)]
+    r = solve(g)
+    parts = [solve(g.induced(c)) for c in connected_components(g)]
     assert r.nodes_expanded == sum(p.nodes_expanded for p in parts) > 267
     assert r.best_width == max(p.best_width for p in parts)
     assert r.best_order.vertices == tuple(v for p in parts for v in p.best_order.vertices)
@@ -174,7 +173,7 @@ PINNED = [
     "g,nodes,order", PINNED, ids=["myciel4", "queen5", "g25-50-s5", "g25-50-s6", "g25-50-s10"]
 )
 def test_search_is_pinned(g, nodes, order):
-    r = solve(g, RUNS1)
+    r = solve(g, SolverConfig())
     assert r.optimal
     assert r.nodes_expanded == nodes
     assert r.best_order.vertices == order
@@ -207,8 +206,9 @@ def test_each_toggle_preserves_exactness():
 
 
 def test_alternate_lower_bounds():
-    for kind in ("mcslb", "mw"):
-        cfg = SolverConfig(lb_kind=kind)
+    cfgs = [SolverConfig(lb_kind=kind) for kind in ("mcslb", "mw")]
+    cfgs += [SolverConfig(ub_kind=kind) for kind in KINDS]
+    for cfg in cfgs:
         for g, want in ((cycle(5), 2), (grid(3, 3), 3), (petersen(), 4)):
             r = solve(g, cfg)
             assert r.best_width == want and r.optimal
@@ -217,9 +217,9 @@ def test_alternate_lower_bounds():
 def test_config_validation():
     with pytest.raises(GraphError):
         SolverConfig(lb_kind="nope")
-    assert SolverConfig().ub_heuristic == HeuristicConfig("min-fill", runs=100, seed=0)
-    custom = HeuristicConfig("min-width", runs=3, seed=7)
-    assert SolverConfig(ub_heuristic=custom).ub_heuristic is custom
+    with pytest.raises(GraphError):
+        SolverConfig(ub_kind="nope")
+    assert SolverConfig().ub_kind == "min-fill"
 
 
 def test_determinism():
@@ -256,8 +256,7 @@ def test_should_stop_cancels():
     check_report(g, r)
 
 
-def test_deadline_cuts_the_heuristic_restarts():
-    # the 100 min-fill restarts alone take several seconds on this graph
+def test_deadline_cuts_the_heuristic_phase():
     g = gen_random(RandomGraphSpec(80, 1200, seed=0))
     r = solve(g, SolverConfig(time_limit=0.0))
     assert r.elapsed < 1.0
@@ -272,12 +271,17 @@ def test_deadline_cuts_the_heuristic_restarts():
     r = solve(g, should_stop=stop)
     assert r.elapsed < 1.0
     check_report(g, r)
+    # the heuristic phase is one run, so the search gets most of a budget
+    r = solve(g, SolverConfig(time_limit=2.0))
+    assert r.nodes_expanded > 0
+    assert r.proven_lb >= minor_min_width(g)
+    check_report(g, r)
 
 
 def test_deadline_cuts_a_root_expansion():
     # bounding every candidate of the root takes several seconds at n=300
     g = gen_random(RandomGraphSpec(300, 1500, seed=0))
-    cfg = SolverConfig(time_limit=3.0, ub_heuristic=HeuristicConfig("min-fill", runs=1))
+    cfg = SolverConfig(time_limit=3.0)
     r = solve(g, cfg)
     assert r.elapsed < cfg.time_limit + 1.0
     assert not r.optimal
@@ -286,7 +290,7 @@ def test_deadline_cuts_a_root_expansion():
 
 def test_improvement_callback():
     g = myciel(3)
-    cfg = SolverConfig(ub_heuristic=HeuristicConfig("max-cardinality", runs=1))
+    cfg = SolverConfig(ub_kind="max-cardinality")
     seen = []
     r = solve(g, cfg, on_improvement=lambda t, w, order: seen.append((t, w, order)))
     assert [w for _, w in r.anytime_trace] == [7, 5]
@@ -405,22 +409,22 @@ def test_prune_fill_subset_matches_fill_edge_sets():
 
 
 @pytest.mark.parametrize(
-    "spec,cfg,want",
+    "spec,want",
     [
-        (PartialKTreeSpec(10, 6, 30, seed=820324079), RUNS1, 5),
-        (PartialKTreeSpec(13, 6, 30, seed=412376747), RUNS1, 6),
-        (PartialKTreeSpec(50, 10, 20, seed=915233699), SolverConfig(), 10),
-        (PartialKTreeSpec(50, 10, 20, seed=1439615510), SolverConfig(), 10),
+        (PartialKTreeSpec(10, 6, 30, seed=820324079), 5),
+        (PartialKTreeSpec(13, 6, 30, seed=412376747), 6),
+        (PartialKTreeSpec(50, 10, 20, seed=915233699), 10),
+        (PartialKTreeSpec(50, 10, 20, seed=1439615510), 10),
     ],
     ids=["pk10", "pk13", "pk50a", "pk50b"],
 )
-def test_mutual_simplicial_keeps_an_optimal_branch(spec, cfg, want):
+def test_mutual_simplicial_keeps_an_optimal_branch(spec, want):
     # each graph was solved one too wide, and "proven optimal", when the
     # rule counted almost-simplicial vertices at any degree and kept the
     # lowest id of a group rather than a minimum-degree member
     g = gen_partial_ktree(spec)
     if g.n <= 14:
         assert exact_treewidth(g).treewidth == want
-    r = solve(g, cfg)
+    r = solve(g)
     assert r.optimal and r.best_width == want
     check_report(g, r)
