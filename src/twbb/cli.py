@@ -31,12 +31,33 @@ from .formats import (
 )
 from .generators import gen_partial_ktree, gen_random
 from .graph import GraphError
+from .heuristics import KINDS
 from .oracle import exact_treewidth
-from .solver import LB_KINDS, SolverConfig, solve
+from .solver import SolverConfig, solve
 
-UB_NAMES = {"minfill": "min-fill", "minwidth": "min-width", "mcs": "max-cardinality"}
 # tw solve without flags runs the library's default configuration.
 DEFAULT = SolverConfig()
+# (SolverConfig field, flag that turns the rule off, help)
+RULE_FLAGS = (
+    ("reductions", "--no-reduce", "disable forced eliminations"),
+    ("edge_addition", "--no-edge-add", "disable forced edge addition"),
+    (
+        "prune_sibling_order",
+        "--no-prune-sibling",
+        "disable the explored-sibling (neighborhood snapshot) filter",
+    ),
+    (
+        "prune_mutual_simplicial",
+        "--no-prune-mutual",
+        "disable the mutually-simplifying candidate filter",
+    ),
+    ("prune_fill_subset", "--no-prune-fill", "disable the dominated-fill-set candidate filter"),
+    (
+        "successor_restriction",
+        "--no-successor",
+        "branch on all vertices, not only non-neighbors of the last one",
+    ),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,17 +87,8 @@ def _read_graph(path: str):
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        time_limit=args.time_limit,
-        reductions=not args.no_reduce,
-        edge_addition=not args.no_edge_add,
-        prune_sibling_order=not args.no_prune_sibling,
-        prune_mutual_simplicial=not args.no_prune_mutual,
-        prune_fill_subset=not args.no_prune_fill,
-        successor_restriction=not args.no_successor,
-        ub_kind=UB_NAMES[args.ub],
-        lb_kind=args.lb,
-    )
+    rules = {field: getattr(args, field) for field, _, _ in RULE_FLAGS}
+    return SolverConfig(time_limit=args.time_limit, ub_kind=args.ub, **rules)
 
 
 def _cmd_solve(args) -> int:
@@ -208,31 +220,11 @@ def _build_parser() -> _Parser:
     ps = sub.add_parser("solve", help="solve an instance exactly (anytime)")
     ps.add_argument("file", help=".col or .gr file, or - for stdin")
     ps.add_argument("--time-limit", type=float, default=None, metavar="S")
-    ps.add_argument("--no-reduce", action="store_true", help="disable forced eliminations")
-    ps.add_argument("--no-edge-add", action="store_true", help="disable forced edge addition")
-    ps.add_argument(
-        "--no-prune-sibling",
-        action="store_true",
-        help="disable the explored-sibling (neighborhood snapshot) filter",
-    )
-    ps.add_argument(
-        "--no-prune-mutual",
-        action="store_true",
-        help="disable the mutually-simplifying candidate filter",
-    )
-    ps.add_argument(
-        "--no-prune-fill",
-        action="store_true",
-        help="disable the dominated-fill-set candidate filter",
-    )
-    ps.add_argument(
-        "--no-successor",
-        action="store_true",
-        help="branch on all vertices, not only non-neighbors of the last one",
-    )
-    ps.add_argument("--lb", choices=LB_KINDS, default=DEFAULT.lb_kind)
-    ub_flag = {kind: flag for flag, kind in UB_NAMES.items()}[DEFAULT.ub_kind]
-    ps.add_argument("--ub", choices=sorted(UB_NAMES), default=ub_flag, help="upper-bound heuristic")
+    for field, flag, help_ in RULE_FLAGS:
+        ps.add_argument(
+            flag, dest=field, action="store_false", default=getattr(DEFAULT, field), help=help_
+        )
+    ps.add_argument("--ub", choices=KINDS, default=DEFAULT.ub_kind, help="upper-bound heuristic")
     ps.add_argument("--td", metavar="OUT.td", help="write the tree decomposition here")
     ps.add_argument("--json", action="store_true")
     ps.set_defaults(func=_cmd_solve)

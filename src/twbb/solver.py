@@ -30,7 +30,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 
-from .bounds import mcs_lb, minwidth_lb
 from .bounds import minor_min_width as state_lower_bound
 from .graph import (
     Graph,
@@ -45,7 +44,6 @@ from .heuristics import KINDS, EliminationOrder, best_upper_bound
 from .reduction import _reduce_masks
 
 __all__ = [
-    "LB_KINDS",
     "RunReport",
     "SearchState",
     "SolverConfig",
@@ -55,16 +53,15 @@ __all__ = [
     "solve",
 ]
 
-LB_KINDS = ("mmw", "mcslb", "mw")
-
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Search settings; every rule can be toggled independently.
 
-    ub_kind names the heuristic (one of heuristics.KINDS) whose single
-    deterministic run gives the initial upper bound; lb_kind names the
-    lower bound used at every state.
+    time_limit is in seconds, None for no limit.  ub_kind names the
+    heuristic (one of heuristics.KINDS) whose single deterministic run
+    gives the initial upper bound.  Every state is bounded by
+    minor-min-width.
     """
 
     time_limit: float | None = None
@@ -75,13 +72,13 @@ class SolverConfig:
     prune_fill_subset: bool = True
     successor_restriction: bool = True
     ub_kind: str = "min-fill"
-    lb_kind: str = "mmw"
 
     def __post_init__(self):
+        # not >= 0 also rejects NaN, which no deadline comparison would reach
+        if self.time_limit is not None and not self.time_limit >= 0:
+            raise GraphError(f"time limit must be a number >= 0: {self.time_limit!r}")
         if self.ub_kind not in KINDS:
             raise GraphError(f"unknown heuristic kind: {self.ub_kind!r}")
-        if self.lb_kind not in LB_KINDS:
-            raise GraphError(f"unknown lower bound kind: {self.lb_kind!r}")
 
 
 @dataclass(frozen=True)
@@ -123,15 +120,6 @@ class RunReport:
     nodes_expanded: int
     elapsed: float
     anytime_trace: list[tuple[float, int]]
-
-
-def _h_factory(kind: str):
-    # SolverConfig has checked kind; state_lower_bound is looked up per call.
-    if kind == "mcslb":
-        return lambda g, cap=None: mcs_lb(g)
-    if kind == "mw":
-        return lambda g, cap=None: minwidth_lb(g)
-    return state_lower_bound
 
 
 def prune_mutual_simplicial(candidates: list[int], g: Graph, lb: int) -> list[int]:
@@ -241,7 +229,7 @@ def _bound(search, graph, prefix, g, f, h_pre, last, last_nb):
     )
     if forced or added:
         graph = Graph._from_masks(graph.n, adj, act)
-        h = search.h(graph, cap=ub) if len(graph) >= 2 else 0
+        h = state_lower_bound(graph, cap=ub) if len(graph) >= 2 else 0
     if forced:
         prefix += tuple(v for v, _ in forced)
         last, last_nb = forced[-1]
@@ -269,7 +257,7 @@ def _make_children(search, s: SearchState):
     bound already reached ub, which are as concluded as an explored
     sibling for forbidden-list purposes.
     """
-    cfg, forb, h, ub = search.cfg, search.forb, search.h, search.ub
+    cfg, forb, ub = search.cfg, search.forb, search.ub
     g = s.graph
     active = g.active_mask
     cand_mask = active
@@ -291,7 +279,7 @@ def _make_children(search, s: SearchState):
         nbv = g._adj[v]
         gv = max(s.g, nbv.bit_count())
         child = g.eliminate(v)
-        h_pre = h(child, cap=ub)
+        h_pre = state_lower_bound(child, cap=ub)
         state = _bound(search, child, s.prefix + (v,), gv, s.f, h_pre, v, nbv)
         if state is None:
             closed.append((v, nbv))
@@ -324,16 +312,16 @@ def expand(
 class _Search:
     """One solve: its settings, its deadline and what it has found so far.
 
-    h is the lower bound function.  ub and forb belong to the component
-    being searched: its best width so far and its forbidden list (see
-    _make_children).  nodes counts expansions over all components, best
-    holds each component's best (width, order) and trace the improvements
-    of the width over all of them.
+    ub and forb belong to the component being searched: its best width
+    so far and its forbidden list (see _make_children).  nodes counts
+    expansions over all components, best holds each component's best
+    (width, order) and trace the improvements of the width over all of
+    them.  Every state is bounded by state_lower_bound, looked up at
+    each call.
     """
 
     def __init__(self, cfg: SolverConfig, should_stop=None, on_improvement=None):
         self.cfg = cfg
-        self.h = _h_factory(cfg.lb_kind)
         self.t0 = time.monotonic()
         self.deadline = None if cfg.time_limit is None else self.t0 + cfg.time_limit
         self.should_stop = should_stop
@@ -440,7 +428,7 @@ def solve(
     for sub in subs:
         order = best_upper_bound(sub, search.cfg.ub_kind)
         search.best.append((order.width, order.vertices))
-        lbs.append(search.h(sub, cap=None))
+        lbs.append(state_lower_bound(sub))
     search.emit()
     for i, sub in enumerate(subs):
         if search.stop():

@@ -2,6 +2,7 @@
 
 import io
 import json
+from dataclasses import fields, replace
 
 import pytest
 from conftest import cycle
@@ -16,7 +17,8 @@ from twbb import (
     width_of_order,
     write_pace_gr,
 )
-from twbb.cli import main
+from twbb.cli import RULE_FLAGS, main
+from twbb.heuristics import KINDS
 
 C5_COL = "p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\n"
 
@@ -78,16 +80,38 @@ def test_solve_time_limited_exit_code(tmp_path, capsys):
     assert main(["solve", str(p), "--time-limit", "0"]) == 2
     out = capsys.readouterr().out
     assert "best found (lb 12)" in out
+    for bad in ("nan", "-1"):
+        assert main(["solve", str(p), "--time-limit", bad]) == 1
+        assert "error: time limit" in capsys.readouterr().err
 
 
-def test_solve_defaults_are_the_library_defaults(c5_gr, monkeypatch, capsys):
+@pytest.fixture
+def solve_configs(monkeypatch):
+    """The SolverConfig of every solve that tw solve runs, in order."""
     seen = []
     real = twbb.cli.solve
     monkeypatch.setattr(
         twbb.cli, "solve", lambda g, cfg, **kw: seen.append(cfg) or real(g, cfg, **kw)
     )
+    return seen
+
+
+def test_solve_defaults_are_the_library_defaults(c5_gr, solve_configs, capsys):
     assert main(["solve", c5_gr]) == 0
-    assert seen == [SolverConfig()]
+    assert solve_configs == [SolverConfig()]
+
+
+def test_each_solve_flag_sets_its_field(c5_gr, solve_configs, capsys):
+    # every rule of SolverConfig has exactly one flag that turns it off
+    rule_fields = {f.name for f in fields(SolverConfig) if f.type in (bool, "bool")}
+    assert {field for field, _, _ in RULE_FLAGS} == rule_fields
+    for field, flag, _ in RULE_FLAGS:
+        assert main(["solve", c5_gr, flag]) == 0
+        assert solve_configs.pop() == replace(SolverConfig(), **{field: False})
+    for kind in KINDS:
+        assert main(["solve", c5_gr, "--ub", kind]) == 0
+        assert solve_configs.pop() == SolverConfig(ub_kind=kind)
+    capsys.readouterr()
 
 
 def test_solve_all_toggles(c5_gr, capsys):
@@ -100,10 +124,8 @@ def test_solve_all_toggles(c5_gr, capsys):
         "--no-prune-mutual",
         "--no-prune-fill",
         "--no-successor",
-        "--lb",
-        "mcslb",
         "--ub",
-        "mcs",
+        "max-cardinality",
     ]
     assert main(args) == 0
     assert "width 2 (optimal)" in capsys.readouterr().out
@@ -175,7 +197,15 @@ def test_error_exits(tmp_path, capsys):
 
 
 def test_usage_errors_exit_one(capsys):
-    for args in ([], ["solve"], ["frobnicate"], ["solve", "x", "--lb", "bogus"]):
+    usage_errors = (
+        [],
+        ["solve"],
+        ["frobnicate"],
+        ["solve", "x", "--ub", "bogus"],
+        ["solve", "x", "--ub", "minfill"],
+        ["solve", "x", "--lb", "mmw"],
+    )
+    for args in usage_errors:
         with pytest.raises(SystemExit) as info:
             main(args)
         assert info.value.code == 1

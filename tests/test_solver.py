@@ -205,21 +205,25 @@ def test_each_toggle_preserves_exactness():
         assert r.optimal and r.best_width == base.best_width
 
 
-def test_alternate_lower_bounds():
-    cfgs = [SolverConfig(lb_kind=kind) for kind in ("mcslb", "mw")]
-    cfgs += [SolverConfig(ub_kind=kind) for kind in KINDS]
-    for cfg in cfgs:
+def test_alternate_upper_bounds():
+    for kind in KINDS:
         for g, want in ((cycle(5), 2), (grid(3, 3), 3), (petersen(), 4)):
-            r = solve(g, cfg)
+            r = solve(g, SolverConfig(ub_kind=kind))
             assert r.best_width == want and r.optimal
 
 
 def test_config_validation():
     with pytest.raises(GraphError):
-        SolverConfig(lb_kind="nope")
-    with pytest.raises(GraphError):
         SolverConfig(ub_kind="nope")
     assert SolverConfig().ub_kind == "min-fill"
+
+
+def test_time_limit_must_be_a_nonnegative_number():
+    # a NaN deadline is never reached, so a NaN limit would be ignored
+    for bad in (float("nan"), -1.0):
+        with pytest.raises(GraphError):
+            SolverConfig(time_limit=bad)
+    assert SolverConfig(time_limit=0.0).time_limit == 0.0
 
 
 def test_determinism():
