@@ -36,13 +36,7 @@ from .generators import (
     queen_graph,
 )
 from .graph import Graph, GraphError, connected_components, width_of_order
-from .heuristics import (
-    EliminationOrder,
-    best_upper_bound,
-    max_cardinality_order,
-    min_fill_order,
-    min_width_order,
-)
+from .heuristics import EliminationOrder, best_upper_bound, min_fill_order
 from .oracle import OracleResult, exact_treewidth, exact_treewidth_permutations
 from .reduction import ReductionOutcome, reduce_state
 from .solver import (
@@ -81,12 +75,10 @@ __all__ = [
     "gen_random",
     "is_chordal",
     "is_perfect_elimination_order",
-    "max_cardinality_order",
     "mcs_lb",
     "mcs_lb_max",
     "merge_contained_bags",
     "min_fill_order",
-    "min_width_order",
     "minor_min_width",
     "minwidth_lb",
     "mycielski",

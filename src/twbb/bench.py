@@ -1,9 +1,10 @@
 """Benchmark harness: run the solver over generated instance families.
 
 A family is a generator spec repeated over consecutive seeds.  Each
-instance yields one record with the solver outcome, the deterministic
-min-fill width, and the paired lower bounds, all tagged with a hash of
-the configuration so results stay attributable.
+instance yields one record with the solver outcome, the width of the
+solve's first solution (the min-fill order), and the paired lower
+bounds, all tagged with a hash of the configuration so results stay
+attributable.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .generators import (
     gen_partial_ktree,
     gen_random,
 )
-from .heuristics import min_fill_order
+from .graph import GraphError
 from .solver import SolverConfig, solve
 
 __all__ = ["BenchRecord", "aggregate", "records_to_csv", "records_to_jsonl", "run_family"]
@@ -67,19 +68,25 @@ def _instances(spec, count: int, seed0: int):
 
 
 def run_family(spec, count: int = 30, seed0: int = 0, cfg: SolverConfig | None = None):
-    """Yield one BenchRecord per instance, in instance order."""
+    """Yield one BenchRecord per instance, in instance order.
+
+    mf_width is the first entry of the solve's anytime trace, its min-fill
+    solution; the largest min-fill width over the components equals the
+    min-fill width of the whole graph.
+    """
+    if count < 1:
+        raise GraphError(f"count must be at least 1: {count}")
     cfg = cfg or SolverConfig()
     tag = config_hash(cfg)
     for name, g in _instances(spec, count, seed0):
         report = solve(g, cfg)
-        mf = min_fill_order(g).width
         yield BenchRecord(
             instance=name,
             n=g.n,
             m=g.num_edges(),
             best_width=report.best_width,
             proven_lb=report.proven_lb,
-            mf_width=mf,
+            mf_width=report.anytime_trace[0][1],
             optimal=report.optimal,
             nodes=report.nodes_expanded,
             elapsed=round(report.elapsed, 6),

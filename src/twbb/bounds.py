@@ -2,7 +2,7 @@
 
 Three bounds, each sound (never above the true treewidth): the max
 degree seen during minimum-degree removal (minwidth_lb), the max count
-of already-labeled neighbors during a maximum-cardinality sweep
+of already-labeled neighbors during heuristics.max_cardinality_sweep
 (mcs_lb), and the strongest of the three, minor_min_width, which
 contracts a minimum-degree vertex into its smallest-degree neighbor and
 records the degree observed before each contraction.  Contraction keeps
@@ -12,13 +12,27 @@ input and treewidth never goes up under minors.
 
 from __future__ import annotations
 
-from .graph import Graph, GraphError, bits, _contract_in_place
-from .heuristics import max_cardinality_sweep, min_degree_sweep
+from .graph import Graph, GraphError, _contract_in_place, _remove_in_place, bits
+from .heuristics import max_cardinality_sweep
 
 
 def minwidth_lb(g: Graph) -> int:
-    """Max degree at removal time under repeated minimum-degree removal."""
-    return min_degree_sweep(g)[1]
+    """Max degree at removal time under repeated minimum-degree removal.
+
+    Each round removes a minimum-degree vertex (ties lowest id) without
+    adding fill.
+    """
+    adj = list(g._adj)
+    active = g.active_mask
+    value = 0
+    while active:
+        v = min(bits(active), key=lambda x: adj[x].bit_count())
+        d = adj[v].bit_count()
+        if d > value:
+            value = d
+        _remove_in_place(adj, v)
+        active &= ~(1 << v)
+    return value
 
 
 def mcs_lb(g: Graph, start: int | None = None) -> int:

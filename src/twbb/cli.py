@@ -31,7 +31,6 @@ from .formats import (
 )
 from .generators import gen_partial_ktree, gen_random
 from .graph import GraphError
-from .heuristics import KINDS
 from .oracle import exact_treewidth
 from .solver import SolverConfig, solve
 
@@ -88,7 +87,7 @@ def _read_graph(path: str):
 
 def _solver_config(args) -> SolverConfig:
     rules = {field: getattr(args, field) for field, _, _ in RULE_FLAGS}
-    return SolverConfig(time_limit=args.time_limit, ub_kind=args.ub, **rules)
+    return SolverConfig(time_limit=args.time_limit, **rules)
 
 
 def _cmd_solve(args) -> int:
@@ -224,7 +223,6 @@ def _build_parser() -> _Parser:
         ps.add_argument(
             flag, dest=field, action="store_false", default=getattr(DEFAULT, field), help=help_
         )
-    ps.add_argument("--ub", choices=KINDS, default=DEFAULT.ub_kind, help="upper-bound heuristic")
     ps.add_argument("--td", metavar="OUT.td", help="write the tree decomposition here")
     ps.add_argument("--json", action="store_true")
     ps.set_defaults(func=_cmd_solve)

@@ -135,6 +135,8 @@ def parse_pace_td(text: str) -> tuple[TreeDecomposition, int]:
                 header = tuple(int(x) for x in parts[2:])
             except ValueError:
                 raise ParseError(lineno, f"malformed solution header: {line!r}")
+            if min(header) < 0:
+                raise ParseError(lineno, f"negative counts in header: {line!r}")
             continue
         if header is None:
             raise ParseError(lineno, "content before solution header")

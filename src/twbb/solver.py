@@ -40,7 +40,7 @@ from .graph import (
     fill_touched_in_masks,
     forced_in_masks,
 )
-from .heuristics import KINDS, EliminationOrder, best_upper_bound
+from .heuristics import EliminationOrder, best_upper_bound
 from .reduction import _reduce_masks
 
 __all__ = [
@@ -58,9 +58,8 @@ __all__ = [
 class SolverConfig:
     """Search settings; every rule can be toggled independently.
 
-    time_limit is in seconds, None for no limit.  ub_kind names the
-    heuristic (one of heuristics.KINDS) whose single deterministic run
-    gives the initial upper bound.  Every state is bounded by
+    time_limit is in seconds, None for no limit.  The initial upper
+    bound is always one min-fill run, and every state is bounded by
     minor-min-width.
     """
 
@@ -71,14 +70,11 @@ class SolverConfig:
     prune_mutual_simplicial: bool = True
     prune_fill_subset: bool = True
     successor_restriction: bool = True
-    ub_kind: str = "min-fill"
 
     def __post_init__(self):
         # not >= 0 also rejects NaN, which no deadline comparison would reach
         if self.time_limit is not None and not self.time_limit >= 0:
             raise GraphError(f"time limit must be a number >= 0: {self.time_limit!r}")
-        if self.ub_kind not in KINDS:
-            raise GraphError(f"unknown heuristic kind: {self.ub_kind!r}")
 
 
 @dataclass(frozen=True)
@@ -426,7 +422,7 @@ def solve(
     subs = [g.induced(c) for c in connected_components(g)]
     lbs = []
     for sub in subs:
-        order = best_upper_bound(sub, search.cfg.ub_kind)
+        order = best_upper_bound(sub)
         search.best.append((order.width, order.vertices))
         lbs.append(state_lower_bound(sub))
     search.emit()

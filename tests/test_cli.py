@@ -18,7 +18,6 @@ from twbb import (
     write_pace_gr,
 )
 from twbb.cli import RULE_FLAGS, main
-from twbb.heuristics import KINDS
 
 C5_COL = "p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\n"
 
@@ -108,9 +107,6 @@ def test_each_solve_flag_sets_its_field(c5_gr, solve_configs, capsys):
     for field, flag, _ in RULE_FLAGS:
         assert main(["solve", c5_gr, flag]) == 0
         assert solve_configs.pop() == replace(SolverConfig(), **{field: False})
-    for kind in KINDS:
-        assert main(["solve", c5_gr, "--ub", kind]) == 0
-        assert solve_configs.pop() == SolverConfig(ub_kind=kind)
     capsys.readouterr()
 
 
@@ -124,8 +120,6 @@ def test_solve_all_toggles(c5_gr, capsys):
         "--no-prune-mutual",
         "--no-prune-fill",
         "--no-successor",
-        "--ub",
-        "max-cardinality",
     ]
     assert main(args) == 0
     assert "width 2 (optimal)" in capsys.readouterr().out
@@ -185,6 +179,13 @@ def test_bench_jsonl_stdout(capsys):
     assert "aggregate" in json.loads(lines[-1])
 
 
+def test_bench_rejects_count_below_one(capsys):
+    for count in ("0", "-2"):
+        assert main(["bench", "random", "--n", "7", "--m", "10", "--count", count]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: count must be at least 1" in captured.err
+
+
 def test_error_exits(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "missing.gr")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -202,7 +203,7 @@ def test_usage_errors_exit_one(capsys):
         ["solve"],
         ["frobnicate"],
         ["solve", "x", "--ub", "bogus"],
-        ["solve", "x", "--ub", "minfill"],
+        ["solve", "x", "--ub", "min-fill"],
         ["solve", "x", "--lb", "mmw"],
     )
     for args in usage_errors:

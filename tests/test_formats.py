@@ -157,3 +157,10 @@ def test_td_empty_bag_round_trips():
 def test_td_errors(text):
     with pytest.raises(ParseError):
         parse_pace_td(text)
+
+
+def test_td_negative_header_counts():
+    for text in ("s td 1 0 -3\nb 1\n", "s td -2 0 4\n"):
+        with pytest.raises(ParseError) as info:
+            parse_pace_td(text)
+        assert info.value.line == 1

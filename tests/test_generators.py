@@ -5,17 +5,20 @@ import io
 import json
 
 import pytest
-from conftest import clique
+from conftest import clique, cycle, disjoint_union
 from twbb import (
     Graph,
     GraphError,
     PartialKTreeSpec,
     RandomGraphSpec,
     SolverConfig,
+    connected_components,
     gen_partial_ktree,
     gen_random,
+    min_fill_order,
     mycielski,
     queen_graph,
+    solve,
 )
 from twbb.bench import (
     FIELDS,
@@ -122,11 +125,27 @@ def test_run_family_records():
         list(run_family(object(), count=1))
 
 
+def test_bench_mf_width_is_the_min_fill_width():
+    # G(12, 9) has too few edges to be connected
+    spec = RandomGraphSpec(12, 9)
+    for i, r in enumerate(run_family(spec, count=4)):
+        g = gen_random(RandomGraphSpec(12, 9, i))
+        assert r.mf_width == min_fill_order(g).width
+    # run_family reads the solve's first trace entry, here over four
+    # components, one of them an isolated vertex
+    g = disjoint_union(
+        mycielski(cycle(5)), cycle(5), Graph(1, []), gen_random(RandomGraphSpec(9, 16, seed=554))
+    )
+    assert len(connected_components(g)) == 4
+    for cfg in (SolverConfig(), SolverConfig(time_limit=0)):
+        assert solve(g, cfg).anytime_trace[0][1] == min_fill_order(g).width == 5
+
+
 def test_config_hash():
     a = config_hash(SolverConfig())
     assert a == config_hash(SolverConfig())
     assert a != config_hash(SolverConfig(reductions=False))
-    assert a != config_hash(SolverConfig(ub_kind="min-width"))
+    assert a != config_hash(SolverConfig(time_limit=1.0))
 
 
 def test_aggregate():

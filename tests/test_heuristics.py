@@ -1,19 +1,8 @@
-"""Upper-bound heuristics: the greedy orders and the dispatch over their kinds."""
-
-import pytest
+"""Upper-bound heuristic: the min-fill order, and the max-cardinality sweep."""
 
 from conftest import clique, complete_bipartite, cycle, grid, path, star
-from twbb import (
-    Graph,
-    GraphError,
-    best_upper_bound,
-    max_cardinality_order,
-    min_fill_order,
-    min_width_order,
-    mycielski,
-    width_of_order,
-)
-from twbb.heuristics import KINDS, EliminationOrder
+from twbb import Graph, best_upper_bound, min_fill_order, mycielski, width_of_order
+from twbb.heuristics import EliminationOrder, max_cardinality_sweep
 from twbb.oracle import exact_treewidth
 
 
@@ -22,11 +11,6 @@ def test_elimination_order_behaves_like_a_sequence():
     assert len(o) == 3
     assert list(o) == [2, 0, 1]
     assert o[0] == 2
-
-
-def test_config_validation():
-    with pytest.raises(GraphError):
-        best_upper_bound(Graph(0, []), "no-such-heuristic")
 
 
 def test_min_fill_is_exact_on_chordal_graphs():
@@ -48,46 +32,21 @@ def test_min_fill_tie_breaks_to_lowest_id():
     assert min_fill_order(clique(4)).vertices == (0, 1, 2, 3)
 
 
-def test_min_width_known_widths():
-    assert min_width_order(cycle(5)).width == 2
-    assert min_width_order(grid(3, 3)).width == 3
-    # width is measured with fill even though removal skips it
-    assert min_width_order(cycle(4)).width == 2
-
-
-def test_max_cardinality_order():
-    o = max_cardinality_order(grid(3, 3))
-    assert o.width == 3
-    # the search visits first what the elimination order does last
-    o = max_cardinality_order(cycle(5), start=3)
-    assert o.vertices[-1] == 3
-    assert max_cardinality_order(cycle(5)).vertices[-1] == 0
-    # trees are chordal, so the order is perfect
-    assert max_cardinality_order(star(6)).width == 1
-    assert max_cardinality_order(path(7)).width == 1
+def test_max_cardinality_sweep_start():
+    # the sweep visits start first, and by default the lowest id
+    assert max_cardinality_sweep(cycle(5), start=3)[0][0] == 3
+    assert max_cardinality_sweep(cycle(5))[0][0] == 0
+    assert max_cardinality_sweep(Graph(4, [(1, 2)]).induced([1, 2, 3]))[0][0] == 1
 
 
 def test_orders_are_permutations_with_true_widths():
-    for fn in (min_fill_order, min_width_order, max_cardinality_order):
+    for fn in (min_fill_order, best_upper_bound):
         for g in (cycle(6), grid(2, 4), complete_bipartite(3, 3), Graph(3, [])):
             o = fn(g)
             assert sorted(o.vertices) == list(g.vertices)
             assert width_of_order(g, o.vertices) == o.width
 
 
-def test_best_upper_bound_first_run_matches_plain_heuristic():
-    g = mycielski(cycle(5))  # the three orders differ here
-    plain = {
-        "min-fill": min_fill_order,
-        "min-width": min_width_order,
-        "max-cardinality": max_cardinality_order,
-    }
-    assert sorted(plain) == sorted(KINDS)
-    for kind, fn in plain.items():
-        assert best_upper_bound(g, kind) == fn(g)
-
-
 def test_best_upper_bound_empty_graph():
-    for kind in KINDS:
-        order = best_upper_bound(Graph(0, []), kind)
-        assert order.vertices == () and order.width == 0
+    order = best_upper_bound(Graph(0, []))
+    assert order.vertices == () and order.width == 0

@@ -33,7 +33,6 @@ from twbb import (
     solve,
     width_of_order,
 )
-from twbb.heuristics import KINDS
 from twbb.oracle import exact_treewidth
 
 ALL_OFF = SolverConfig(
@@ -205,19 +204,6 @@ def test_each_toggle_preserves_exactness():
         assert r.optimal and r.best_width == base.best_width
 
 
-def test_alternate_upper_bounds():
-    for kind in KINDS:
-        for g, want in ((cycle(5), 2), (grid(3, 3), 3), (petersen(), 4)):
-            r = solve(g, SolverConfig(ub_kind=kind))
-            assert r.best_width == want and r.optimal
-
-
-def test_config_validation():
-    with pytest.raises(GraphError):
-        SolverConfig(ub_kind="nope")
-    assert SolverConfig().ub_kind == "min-fill"
-
-
 def test_time_limit_must_be_a_nonnegative_number():
     # a NaN deadline is never reached, so a NaN limit would be ignored
     for bad in (float("nan"), -1.0):
@@ -293,11 +279,12 @@ def test_deadline_cuts_a_root_expansion():
 
 
 def test_improvement_callback():
-    g = myciel(3)
-    cfg = SolverConfig(ub_kind="max-cardinality")
+    # min-fill gives 4 here and the treewidth is 3
+    g = gen_random(RandomGraphSpec(9, 16, seed=554))
     seen = []
-    r = solve(g, cfg, on_improvement=lambda t, w, order: seen.append((t, w, order)))
-    assert [w for _, w in r.anytime_trace] == [7, 5]
+    r = solve(g, on_improvement=lambda t, w, order: seen.append((t, w, order)))
+    assert [w for _, w in r.anytime_trace] == [4, 3]
+    assert r.optimal and exact_treewidth(g).treewidth == 3
     assert [(t, w) for t, w, _ in seen] == r.anytime_trace
     for _, w, order in seen:
         assert width_of_order(g, order) == w
