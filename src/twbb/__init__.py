@@ -13,10 +13,6 @@ from .decomposition import (
     TreeDecomposition,
     ValidationReport,
     build_decomposition,
-    is_chordal,
-    is_perfect_elimination_order,
-    merge_contained_bags,
-    triangulate,
     validate_decomposition,
 )
 from .formats import (
@@ -73,11 +69,8 @@ __all__ = [
     "expand",
     "gen_partial_ktree",
     "gen_random",
-    "is_chordal",
-    "is_perfect_elimination_order",
     "mcs_lb",
     "mcs_lb_max",
-    "merge_contained_bags",
     "min_fill_order",
     "minor_min_width",
     "minwidth_lb",
@@ -90,7 +83,6 @@ __all__ = [
     "queen_graph",
     "reduce_state",
     "solve",
-    "triangulate",
     "validate_decomposition",
     "width_of_order",
     "write_pace_gr",

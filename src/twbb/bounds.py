@@ -2,7 +2,7 @@
 
 Three bounds, each sound (never above the true treewidth): the max
 degree seen during minimum-degree removal (minwidth_lb), the max count
-of already-labeled neighbors during heuristics.max_cardinality_sweep
+of already-labeled neighbors during a maximum-cardinality sweep
 (mcs_lb), and the strongest of the three, minor_min_width, which
 contracts a minimum-degree vertex into its smallest-degree neighbor and
 records the degree observed before each contraction.  Contraction keeps
@@ -13,7 +13,6 @@ input and treewidth never goes up under minors.
 from __future__ import annotations
 
 from .graph import Graph, GraphError, _contract_in_place, _remove_in_place, bits
-from .heuristics import max_cardinality_sweep
 
 
 def minwidth_lb(g: Graph) -> int:
@@ -38,9 +37,31 @@ def minwidth_lb(g: Graph) -> int:
 def mcs_lb(g: Graph, start: int | None = None) -> int:
     """Max number of already-labeled neighbors during a max-cardinality sweep.
 
-    start defaults to the lowest active vertex id.
+    The sweep labels start first, then repeatedly the unlabeled vertex
+    with the most labeled neighbors (ties lowest id).  start defaults to
+    the lowest active vertex id.
     """
-    return max_cardinality_sweep(g, start)[1]
+    if len(g) == 0:
+        return 0
+    active = g.active_mask
+    if start is None:
+        start = (active & -active).bit_length() - 1
+    else:
+        g._require_active(start)
+    adj = g._adj
+    count = [0] * g.n
+    value = 0
+    unlabeled = active
+    cur = start
+    while True:
+        if count[cur] > value:
+            value = count[cur]
+        unlabeled &= ~(1 << cur)
+        if not unlabeled:
+            return value
+        for w in bits(adj[cur] & unlabeled):
+            count[w] += 1
+        cur = max(bits(unlabeled), key=count.__getitem__)
 
 
 def mcs_lb_max(g: Graph, restarts: int = 1) -> int:

@@ -160,7 +160,8 @@ def _cmd_bounds(args) -> int:
     else:
         print(f"{args.file}: n={g.n} m={g.num_edges()}")
         print(f"mw     {mw}")
-        print(f"mcslb  {mcs1} (best of {args.mcs_restarts} starts: {mcs_best})")
+        starts = min(args.mcs_restarts, len(g))
+        print(f"mcslb  {mcs1} (best of {starts} starts: {mcs_best})")
         print(f"mmw    {mmw}")
     return 0
 

@@ -1,9 +1,9 @@
-"""Triangulations and tree decompositions built from elimination orders.
+"""Tree decompositions built from elimination orders, and their checker.
 
 An elimination order of width w yields a tree decomposition of width w:
-triangulate the graph along the order, take one bag per vertex (the vertex
-plus its later neighbors in the triangulation), and hang each bag on the
-bag of its earliest later neighbor.  ``validate_decomposition`` checks the
+eliminate along the order, take one bag per vertex (the vertex plus its
+neighbors when it is eliminated), and hang each bag on the bag of the
+earliest of those neighbors.  ``validate_decomposition`` checks the
 result independently and is used to vouch for every decomposition this
 package emits.
 """
@@ -13,24 +13,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import (
-    Graph,
-    _eliminate_in_place,
-    bits,
-    check_permutation,
-    clique_in_masks,
-    fill_edges_in_masks,
-)
-from .heuristics import max_cardinality_sweep
+from .graph import Graph, _eliminate_in_place, bits, check_permutation
 
 __all__ = [
     "TreeDecomposition",
     "ValidationReport",
     "build_decomposition",
-    "is_chordal",
-    "is_perfect_elimination_order",
-    "merge_contained_bags",
-    "triangulate",
     "validate_decomposition",
 ]
 
@@ -61,64 +49,27 @@ class ValidationReport:
         return self.valid
 
 
-def triangulate(g: Graph, order) -> Graph:
-    """Add the fill edges produced by eliminating along ``order``.
+def build_decomposition(g: Graph, order) -> TreeDecomposition:
+    """Turn an elimination order into a tree decomposition of equal width.
 
-    The result contains g, is chordal, and has ``order`` as a perfect
-    elimination order.
+    Eliminates along the order on a copy of the adjacency masks.  Bag i
+    holds order[i] plus its neighbors when it is eliminated, and attaches
+    to the bag of the earliest of those neighbors; a bag with none
+    attaches to the next bag so the tree stays connected even when the
+    graph is not.
     """
     vs = tuple(order)
     check_permutation(g, vs)
     adj = list(g._adj)
-    fills = []
-    for v in vs:
-        fills.extend(fill_edges_in_masks(adj, v))
-        _eliminate_in_place(adj, v)
-    return g.with_edges(fills) if fills else g
-
-
-def is_perfect_elimination_order(g: Graph, order) -> bool:
-    """True when each vertex is simplicial among the vertices after it."""
-    vs = tuple(order)
-    check_permutation(g, vs)
-    remaining = g.active_mask
-    adj = g._adj
-    for v in vs:
-        remaining &= ~(1 << v)
-        if not clique_in_masks(adj, adj[v] & remaining):
-            return False
-    return True
-
-
-def is_chordal(g: Graph) -> bool:
-    """Max-cardinality-search chordality test."""
-    visit, _ = max_cardinality_sweep(g)
-    visit.reverse()
-    return is_perfect_elimination_order(g, visit)
-
-
-def build_decomposition(g: Graph, order) -> TreeDecomposition:
-    """Turn an elimination order into a tree decomposition of equal width.
-
-    Bag i holds order[i] plus its later neighbors in the triangulation.
-    Bag i attaches to the bag of its earliest later neighbor; a bag with
-    no later neighbor attaches to the next bag so the tree stays connected
-    even when the graph is not.
-    """
-    vs = tuple(order)
-    check_permutation(g, vs)
-    if not vs:
-        return TreeDecomposition((), ())
-    h = triangulate(g, vs)
     pos = {v: i for i, v in enumerate(vs)}
     bags = []
     edges = []
     for i, v in enumerate(vs):
-        later = [u for u in bits(h._adj[v]) if pos[u] > i]
+        later = list(bits(adj[v]))
         bags.append(frozenset((v, *later)))
         if i < len(vs) - 1:
-            parent = min((pos[u] for u in later), default=i + 1)
-            edges.append((i, parent))
+            edges.append((i, min((pos[u] for u in later), default=i + 1)))
+        _eliminate_in_place(adj, v)
     return TreeDecomposition(tuple(bags), tuple(edges))
 
 
@@ -203,40 +154,3 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> ValidationReport:
             )
 
     return ValidationReport(True, None)
-
-
-def merge_contained_bags(td: TreeDecomposition) -> TreeDecomposition:
-    """Contract tree edges whose one endpoint bag contains the other.
-
-    Optional compaction: the result is still a valid decomposition of the
-    same graph with the same or smaller width, usually with fewer bags.
-    """
-    bags = {i: frozenset(b) for i, b in enumerate(td.bags)}
-    adj: dict[int, set[int]] = {i: set() for i in bags}
-    for a, b in td.tree_edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    changed = True
-    while changed:
-        changed = False
-        for a in sorted(bags):
-            for b in sorted(adj[a]):
-                small, big = (a, b) if bags[a] <= bags[b] else (b, a)
-                if not bags[small] <= bags[big]:
-                    continue
-                for c in adj[small] - {big}:
-                    adj[c].discard(small)
-                    adj[c].add(big)
-                    adj[big].add(c)
-                adj[big].discard(small)
-                del bags[small], adj[small]
-                changed = True
-                break
-            if changed:
-                break
-    index = {old: new for new, old in enumerate(sorted(bags))}
-    new_bags = tuple(bags[old] for old in sorted(bags))
-    new_edges = tuple(
-        (index[a], index[b]) for a in sorted(adj) for b in sorted(adj[a]) if a < b
-    )
-    return TreeDecomposition(new_bags, new_edges)

@@ -2,8 +2,7 @@
 
 Min-fill repeatedly eliminates the vertex whose elimination adds the
 fewest edges, ties going to the lowest vertex id, so the order is a
-deterministic function of the graph.  The maximum-cardinality sweep
-also lives here; the mcs lower bound and the chordality test read it.
+deterministic function of the graph.
 """
 
 from __future__ import annotations
@@ -60,43 +59,6 @@ def min_fill_order(g: Graph) -> EliminationOrder:
         for x in bits(affected & active):
             fill[x] = fill_count_in_masks(adj, x)
     return EliminationOrder(tuple(order), width)
-
-
-def max_cardinality_sweep(g: Graph, start: int | None = None) -> tuple[list[int], int]:
-    """Visit vertices by most already-visited neighbors (ties lowest id).
-
-    Returns the visit order and the largest visited-neighbor count a
-    vertex had when visited.  start defaults to the lowest active id.
-    """
-    if len(g) == 0:
-        return [], 0
-    if start is None:
-        start = g.active_mask & -g.active_mask
-        start = start.bit_length() - 1
-    else:
-        g._require_active(start)
-    adj = g._adj
-    active = g.active_mask
-    count = [0] * g.n
-    visit = []
-    value = 0
-    labeled = 0
-    cur = start
-    while True:
-        if count[cur] > value:
-            value = count[cur]
-        visit.append(cur)
-        labeled |= 1 << cur
-        for w in bits(adj[cur] & active & ~labeled):
-            count[w] += 1
-        remaining = active & ~labeled
-        if not remaining:
-            return visit, value
-        best, best_c = -1, -1
-        for w in bits(remaining):
-            if count[w] > best_c:
-                best_c, best = count[w], w
-        cur = best
 
 
 def best_upper_bound(g: Graph) -> EliminationOrder:

@@ -2,9 +2,13 @@
 
 import random
 
+import pytest
 from conftest import clique, cycle, path, petersen, star
 from twbb import (
     Graph,
+    GraphError,
+    RandomGraphSpec,
+    gen_random,
     mcs_lb,
     mcs_lb_max,
     minor_min_width,
@@ -67,6 +71,19 @@ def test_mcs_lb_max_restarts():
     best = mcs_lb_max(g, restarts=len(g))
     assert best >= mcs_lb(g)
     assert best <= exact_treewidth(g, limit=11).treewidth
+
+
+def test_mcs_lb_depends_on_start():
+    g = gen_random(RandomGraphSpec(10, 20, seed=0))
+    assert [mcs_lb(g, s) for s in g.vertices] == [3, 4, 3, 3, 3, 3, 4, 3, 3, 3]
+    assert mcs_lb(g) == 3
+    assert mcs_lb_max(g, 2) == 4 == exact_treewidth(g).treewidth
+    for start in (-1, 10):
+        with pytest.raises(GraphError):
+            mcs_lb(g, start)
+    h = g.induced([v for v in g.vertices if v != 1])
+    with pytest.raises(GraphError):
+        mcs_lb(h, 1)
 
 
 def test_minor_min_width_cap():

@@ -8,7 +8,9 @@ import pytest
 from conftest import cycle
 import twbb.cli
 from twbb import (
+    RandomGraphSpec,
     SolverConfig,
+    gen_random,
     mycielski,
     parse_pace_gr,
     parse_pace_td,
@@ -132,6 +134,14 @@ def test_bounds(myciel3_gr, capsys):
     assert main(["bounds", myciel3_gr, "--mcs-restarts", "11"]) == 0
     text = capsys.readouterr().out
     assert "mmw    4" in text and "best of 11 starts" in text
+
+
+def test_bounds_reports_the_starts_tried(tmp_path, capsys):
+    # a graph has only len(g) vertices to start the sweep from
+    p = tmp_path / "g.gr"
+    p.write_text(write_pace_gr(gen_random(RandomGraphSpec(9, 16, seed=554))))
+    assert main(["bounds", str(p), "--mcs-restarts", "100"]) == 0
+    assert "best of 9 starts: 3" in capsys.readouterr().out
 
 
 def test_oracle(c5_gr, capsys):

@@ -1,19 +1,15 @@
-"""Triangulation, chordality, and tree decomposition construction/validation."""
+"""Tree decomposition construction and validation."""
 
 import itertools
 import random
 
 import pytest
-from conftest import clique, cycle, grid, path, star
+from conftest import cycle, grid
 from twbb import (
     Graph,
     GraphError,
     TreeDecomposition,
     build_decomposition,
-    is_chordal,
-    is_perfect_elimination_order,
-    merge_contained_bags,
-    triangulate,
     validate_decomposition,
     width_of_order,
 )
@@ -25,48 +21,11 @@ def random_graph(rng, n, p=0.4):
     return Graph(n, [e for e in pairs if rng.random() < p])
 
 
-def test_triangulate_square():
-    h = triangulate(cycle(4), (0, 1, 2, 3))
-    assert h.has_edge(1, 3) and not h.has_edge(0, 2)
-    assert h.num_edges() == 5
-    assert is_chordal(h)
-
-
-def test_triangulate_chordal_is_identity():
-    g = clique(4)
-    assert triangulate(g, (2, 0, 3, 1)) is g
-    g = path(5)
-    assert triangulate(g, (0, 1, 2, 3, 4)) is g
-
-
-def test_triangulate_rejects_bad_orders():
+def test_build_decomposition_rejects_bad_orders():
     g = cycle(4)
     for order in ((0, 1, 2), (0, 1, 2, 2), (0, 1, 2, 5), (0, 1, 2, 3, 3)):
         with pytest.raises(GraphError):
-            triangulate(g, order)
-
-
-def test_perfect_elimination_order():
-    g = path(4)
-    assert is_perfect_elimination_order(g, (0, 1, 2, 3))
-    assert is_perfect_elimination_order(g, (3, 2, 1, 0))
-    assert not is_perfect_elimination_order(g, (1, 0, 2, 3))
-    assert not any(
-        is_perfect_elimination_order(cycle(4), p)
-        for p in itertools.permutations(range(4))
-    )
-
-
-def test_is_chordal():
-    assert is_chordal(Graph(0, []))
-    assert is_chordal(Graph(3, []))
-    assert is_chordal(path(6))
-    assert is_chordal(star(5))
-    assert is_chordal(clique(5))
-    assert is_chordal(Graph(4, [(0, 1), (2, 3)]))
-    assert not is_chordal(cycle(4))
-    assert not is_chordal(cycle(6))
-    assert not is_chordal(grid(3, 3))
+            build_decomposition(g, order)
 
 
 def test_build_square_decomposition():
@@ -81,10 +40,23 @@ def test_build_square_decomposition():
     assert td.width == 2
     assert validate_decomposition(cycle(4), td)
 
-    merged = merge_contained_bags(td)
-    assert merged.bags == (frozenset({0, 1, 3}), frozenset({1, 2, 3}))
-    assert merged.tree_edges == ((0, 1),)
-    assert validate_decomposition(cycle(4), merged)
+
+def test_build_decomposition_with_isolated_and_inactive_vertices():
+    # vertex 3 is isolated and vertex 4 inactive; a bag with no neighbors
+    # hangs on the next bag
+    g = Graph(7, [(0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (2, 5)])
+    g = g.induced([0, 1, 2, 3, 5, 6])
+    td = build_decomposition(g, (3, 0, 6, 1, 5, 2))
+    assert td.bags == (
+        frozenset({3}),
+        frozenset({0, 1, 2}),
+        frozenset({5, 6}),
+        frozenset({1, 2}),
+        frozenset({2, 5}),
+        frozenset({2}),
+    )
+    assert td.tree_edges == ((0, 1), (1, 3), (2, 4), (3, 5), (4, 5))
+    assert validate_decomposition(g, td)
 
 
 def test_trivial_decompositions():
@@ -153,10 +125,6 @@ def test_every_order_gives_a_valid_decomposition():
         td = build_decomposition(g, order)
         assert validate_decomposition(g, td)
         assert td.width == width_of_order(g, order)
-        merged = merge_contained_bags(td)
-        assert validate_decomposition(g, merged)
-        assert merged.width <= td.width
-        assert is_perfect_elimination_order(triangulate(g, order), order)
 
 
 def test_best_decomposition_width_is_the_treewidth():

@@ -1,8 +1,8 @@
-"""Upper-bound heuristic: the min-fill order, and the max-cardinality sweep."""
+"""Upper-bound heuristic: the min-fill order."""
 
 from conftest import clique, complete_bipartite, cycle, grid, path, star
 from twbb import Graph, best_upper_bound, min_fill_order, mycielski, width_of_order
-from twbb.heuristics import EliminationOrder, max_cardinality_sweep
+from twbb.heuristics import EliminationOrder
 from twbb.oracle import exact_treewidth
 
 
@@ -30,13 +30,6 @@ def test_min_fill_known_widths():
 def test_min_fill_tie_breaks_to_lowest_id():
     assert min_fill_order(path(3)).vertices == (0, 1, 2)
     assert min_fill_order(clique(4)).vertices == (0, 1, 2, 3)
-
-
-def test_max_cardinality_sweep_start():
-    # the sweep visits start first, and by default the lowest id
-    assert max_cardinality_sweep(cycle(5), start=3)[0][0] == 3
-    assert max_cardinality_sweep(cycle(5))[0][0] == 0
-    assert max_cardinality_sweep(Graph(4, [(1, 2)]).induced([1, 2, 3]))[0][0] == 1
 
 
 def test_orders_are_permutations_with_true_widths():
