@@ -4,15 +4,16 @@ Three bounds, each sound (never above the true treewidth): the max
 degree seen during minimum-degree removal (minwidth_lb), the max count
 of already-labeled neighbors during a maximum-cardinality sweep
 (mcs_lb), and the strongest of the three, minor_min_width, which
-contracts a minimum-degree vertex into its smallest-degree neighbor and
-records the degree observed before each contraction.  Contraction keeps
-the bound sound because every intermediate graph is a minor of the
-input and treewidth never goes up under minors.
+contracts a minimum-degree vertex into the neighbor it shares the fewest
+neighbors with ("least-c", Bodlaender, Koster & Wolle, 2004) and records
+the degree observed before each contraction.  Contraction keeps the
+bound sound because every intermediate graph is a minor of the input and
+treewidth never goes up under minors.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, GraphError, _contract_in_place, _remove_in_place, bits
+from .graph import Graph, GraphError, _remove_in_place, bits
 
 
 def minwidth_lb(g: Graph) -> int:
@@ -41,13 +42,13 @@ def mcs_lb(g: Graph, start: int | None = None) -> int:
     with the most labeled neighbors (ties lowest id).  start defaults to
     the lowest active vertex id.
     """
+    if start is not None:
+        g._require_active(start)
     if len(g) == 0:
         return 0
     active = g.active_mask
     if start is None:
         start = (active & -active).bit_length() - 1
-    else:
-        g._require_active(start)
     adj = g._adj
     count = [0] * g.n
     value = 0
@@ -72,37 +73,60 @@ def mcs_lb_max(g: Graph, restarts: int = 1) -> int:
 
 
 def minor_min_width(g: Graph, cap: int | None = None) -> int:
-    """Lower bound via repeated contraction of a min-degree vertex.
+    """Lower bound via repeated contraction of a min-degree vertex (least-c).
 
     Each round picks the minimum-degree vertex v (ties lowest id), records
-    v's current degree, and contracts v's minimum-degree neighbor into v.
-    Isolated vertices are dropped and contribute nothing.
+    v's current degree, and contracts into v the neighbor u with the fewest
+    neighbors in common with v, ties to the smaller degree, then the lower
+    id.  Isolated vertices are dropped and contribute nothing.  The loop
+    stops once no more than value + 1 vertices are left: a graph on k
+    vertices has minimum degree at most k - 1, so no later round could
+    raise the value, and the result is the same as running to the end.
 
     cap, when given, allows an early return with any value >= cap; the
     search only ever compares the result against cap (its pruning bound).
     """
     adj = list(g._adj)
-    active = g.active_mask
+    deg = [m.bit_count() for m in adj]
+    alive = g.vertices
+    n = g.n
     value = 0
-    while active:
-        v, dv = -1, None
-        for x in bits(active):
-            d = adj[x].bit_count()
-            if dv is None or d < dv:
-                dv, v = d, x
+    while len(alive) > value + 1:
+        v = min(alive, key=deg.__getitem__)
+        dv = deg[v]
         if dv == 0:
-            adj[v] = 0
-            active &= ~(1 << v)
+            alive.remove(v)
             continue
         if dv > value:
             value = dv
             if cap is not None and value >= cap:
                 return value
-        u, du = -1, None
-        for x in bits(adj[v]):
-            d = adj[x].bit_count()
-            if du is None or d < du:
-                du, u = d, x
-        _contract_in_place(adj, v, u)
-        active &= ~(1 << u)
+        # least-c: degrees are below n, so the key orders by (common, degree)
+        nv = adj[v]
+        u, best = -1, None
+        rest = nv
+        while rest:
+            low = rest & -rest
+            x = low.bit_length() - 1
+            rest ^= low
+            key = (adj[x] & nv).bit_count() * n + deg[x]
+            if best is None or key < best:
+                u, best = x, key
+        # contract u into v: a neighbor of u that is already v's neighbor
+        # loses u and gains nothing, the others swap u for v
+        bu, bv = 1 << u, 1 << v
+        nu = adj[u]
+        rest = nu & ~bv
+        while rest:
+            low = rest & -rest
+            w = low.bit_length() - 1
+            rest ^= low
+            adj[w] = (adj[w] & ~bu) | bv
+            if nv & low:
+                deg[w] -= 1
+        nv = (nv | nu) & ~(bu | bv)
+        adj[v] = nv
+        deg[v] = nv.bit_count()
+        adj[u] = 0
+        alive.remove(u)
     return value

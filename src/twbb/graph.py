@@ -1,11 +1,11 @@
 """Undirected graphs with stable integer ids and an explicit active set.
 
 Vertices are ids 0..n-1 over a fixed universe of size n.  Operations that
-remove vertices (elimination, contraction) deactivate ids; they never
-renumber, so an id means the same vertex at every depth of a search.
-Adjacency is stored as one bitmask per vertex, which keeps neighborhood
-intersections and clique checks cheap.  All public operations return new
-Graph objects; nothing mutates a graph a caller can see.
+remove vertices (elimination, removal, induced subgraphs) deactivate ids;
+they never renumber, so an id means the same vertex at every depth of a
+search.  Adjacency is stored as one bitmask per vertex, which keeps
+neighborhood intersections and clique checks cheap.  All public operations
+return new Graph objects; nothing mutates a graph a caller can see.
 """
 
 from __future__ import annotations
@@ -150,16 +150,6 @@ class Graph:
         _eliminate_in_place(adj, v)
         return Graph._from_masks(self.n, adj, self._active & ~(1 << v))
 
-    def contract(self, v: int, u: int) -> "Graph":
-        """Merge u into v along the edge {v, u}; the merged vertex keeps id v."""
-        self._require_active(v)
-        self._require_active(u)
-        if not (self._adj[v] >> u) & 1:
-            raise GraphError(f"contract requires an edge between {v} and {u}")
-        adj = list(self._adj)
-        _contract_in_place(adj, v, u)
-        return Graph._from_masks(self.n, adj, self._active & ~(1 << u))
-
     def remove_vertex(self, v: int) -> "Graph":
         """Remove v without adding fill edges."""
         self._require_active(v)
@@ -283,14 +273,6 @@ def _remove_in_place(adj: list[int], v: int) -> None:
     for u in bits(adj[v]):
         adj[u] &= ~bv
     adj[v] = 0
-
-
-def _contract_in_place(adj: list[int], v: int, u: int) -> None:
-    bu, bv = 1 << u, 1 << v
-    for w in bits(adj[u] & ~bv):
-        adj[w] = (adj[w] & ~bu) | bv
-    adj[v] = (adj[v] | adj[u]) & ~(bu | bv)
-    adj[u] = 0
 
 
 def check_permutation(g: Graph, order: Sequence[int]) -> None:

@@ -84,6 +84,12 @@ def test_mcs_lb_depends_on_start():
     h = g.induced([v for v in g.vertices if v != 1])
     with pytest.raises(GraphError):
         mcs_lb(h, 1)
+    # an empty graph has no valid start either
+    assert mcs_lb(Graph(0, [])) == 0
+    with pytest.raises(GraphError):
+        mcs_lb(Graph(0, []), 5)
+    with pytest.raises(GraphError):
+        mcs_lb(Graph(3, []).induced([]), 1)
 
 
 def test_minor_min_width_cap():
@@ -93,3 +99,53 @@ def test_minor_min_width_cap():
     # once the running bound reaches the cap the exact value no longer matters
     assert minor_min_width(g, cap=5) >= 5
     assert minor_min_width(g, cap=0) >= 0
+
+
+def least_c_reference(vertices, edges):
+    """Minor-min-width with least-c contraction on a dict of sets, run to the end.
+
+    Each round takes the minimum-degree vertex v (ties lowest id), records
+    its degree, and contracts into v the neighbor with the fewest common
+    neighbors, ties to the smaller degree, then the lower id.
+    """
+    nb = {v: set() for v in vertices}
+    for a, b in edges:
+        nb[a].add(b)
+        nb[b].add(a)
+    value = 0
+    while nb:
+        v = min(nb, key=lambda x: (len(nb[x]), x))
+        value = max(value, len(nb[v]))
+        if not nb[v]:
+            del nb[v]
+            continue
+        u = min(nb[v], key=lambda x: (len(nb[x] & nb[v]), len(nb[x]), x))
+        for w in nb.pop(u):
+            nb[w].discard(u)
+            if w != v:
+                nb[w].add(v)
+                nb[v].add(w)
+    return value
+
+
+def test_minor_min_width_matches_reference():
+    rng = random.Random(12)
+    for _ in range(2000):
+        n = rng.randint(0, 30)
+        p = rng.random()
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        keep = [v for v in range(n) if rng.random() > 0.1]
+        g = Graph(n, edges).induced(keep)
+        want = least_c_reference(keep, [(a, b) for a, b in edges if a in keep and b in keep])
+        assert minor_min_width(g) == want
+        for cap in (2, 5, 9):
+            assert min(minor_min_width(g, cap=cap), cap) == min(want, cap)
+
+
+def test_least_c_beats_min_degree_neighbor():
+    # contracting into the min-degree neighbor gives 3 here
+    edges = [(0, 1), (0, 3), (0, 4), (1, 2), (1, 5), (1, 7), (2, 4), (2, 5),
+             (3, 5), (3, 6), (4, 6), (4, 7), (5, 7), (6, 7)]
+    g = Graph(8, edges)
+    assert minor_min_width(g) == least_c_reference(range(8), edges) == 4
+    assert exact_treewidth(g).treewidth == 4

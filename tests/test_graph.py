@@ -68,15 +68,6 @@ def test_remove_vertex_adds_no_fill():
     assert not g.has_edge(1, 3)
 
 
-def test_contract_merges_neighborhoods():
-    g = cycle(4).contract(0, 1)
-    assert not g.has_vertex(1)
-    assert g.has_edge(0, 2)
-    assert g.has_edge(0, 3)
-    with pytest.raises(GraphError):
-        cycle(4).contract(0, 2)  # not adjacent
-
-
 def test_fill_edges():
     g = cycle(4)
     assert g.fill_edges(0) == {(1, 3)}

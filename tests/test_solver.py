@@ -147,22 +147,22 @@ PINNED = [
     ),
     (
         queen_graph(5),
-        1123,
+        1042,
         (0, 14, 23, 7, 2, 3, 5, 9, 13, 16, 1, 4, 6, 8, 10, 11, 12, 15, 17, 18, 19, 20, 21, 22, 24),
     ),
     (
         gen_random(RandomGraphSpec(25, 50, 5)),
-        150,
+        80,
         (11, 17, 18, 19, 21, 23, 16, 22, 10, 14, 12, 20, 5, 8, 7, 13, 1, 0, 2, 3, 4, 6, 9, 15, 24),
     ),
     (
         gen_random(RandomGraphSpec(25, 50, 6)),
-        125,
+        105,
         (8, 10, 22, 1, 3, 7, 19, 5, 16, 6, 13, 23, 12, 18, 0, 20, 11, 14, 15, 2, 4, 9, 17, 21, 24),
     ),
     (
         gen_random(RandomGraphSpec(25, 50, 10)),
-        368,
+        285,
         (2, 4, 19, 1, 7, 10, 13, 15, 22, 8, 5, 18, 6, 16, 21, 17, 0, 14, 20, 3, 9, 11, 12, 23, 24),
     ),
 ]
