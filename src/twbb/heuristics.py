@@ -2,7 +2,8 @@
 
 Min-fill repeatedly eliminates the vertex whose elimination adds the
 fewest edges, ties going to the lowest vertex id, so the order is a
-deterministic function of the graph.
+deterministic function of the graph.  A solve's deadline can cut the run
+short, and then a minimum-degree tail finishes the order.
 """
 
 from __future__ import annotations
@@ -29,20 +30,31 @@ class EliminationOrder:
         return self.vertices[i]
 
 
-def min_fill_order(g: Graph) -> EliminationOrder:
+def min_fill_order(g: Graph, stop=None) -> EliminationOrder:
     """Greedy order minimizing fill at each step; ties go to the lowest id.
 
     Fill counts are cached and recomputed only near the eliminated vertex.
+    stop, when given, is polled once per elimination; once it returns
+    true the rest of the order is finished by minimum degree (ties to the
+    lowest id), which needs no fill counts.  The order is a permutation of
+    the active vertices either way, and its width is exact.
     """
     adj = list(g._adj)
     active = g.active_mask
-    fill = [0] * g.n
+    # What each vertex is chosen by: its fill count, or its degree once
+    # stop has fired.
+    key = [0] * g.n
     for v in bits(active):
-        fill[v] = fill_count_in_masks(adj, v)
+        key[v] = fill_count_in_masks(adj, v)
     order = []
     width = 0
+    tail = False
     while active:
-        v = min(bits(active), key=fill.__getitem__)
+        if not tail and stop is not None and stop():
+            tail = True
+            for x in bits(active):
+                key[x] = adj[x].bit_count()
+        v = min(bits(active), key=key.__getitem__)
         d = adj[v].bit_count()
         if d > width:
             width = d
@@ -50,6 +62,10 @@ def min_fill_order(g: Graph) -> EliminationOrder:
         _eliminate_in_place(adj, v)
         active &= ~(1 << v)
         order.append(v)
+        if tail:
+            for x in bits(nb):
+                key[x] = adj[x].bit_count()
+            continue
         # Fill counts can only change for the old neighbors and for
         # vertices adjacent to a newly added edge, all of which now
         # neighbor some old neighbor of v.
@@ -57,14 +73,15 @@ def min_fill_order(g: Graph) -> EliminationOrder:
         for a in bits(nb):
             affected |= adj[a]
         for x in bits(affected & active):
-            fill[x] = fill_count_in_masks(adj, x)
+            key[x] = fill_count_in_masks(adj, x)
     return EliminationOrder(tuple(order), width)
 
 
-def best_upper_bound(g: Graph) -> EliminationOrder:
+def best_upper_bound(g: Graph, stop=None) -> EliminationOrder:
     """The min-fill order, the first solution of every solve.
 
-    A function, not an alias, so that it looks up min_fill_order when
-    called and a wrapper put on that name sees every solve's run.
+    stop is passed on to min_fill_order.  A function, not an alias, so
+    that it looks up min_fill_order when called and a wrapper put on that
+    name sees every solve's run.
     """
-    return min_fill_order(g)
+    return min_fill_order(g, stop)

@@ -17,9 +17,39 @@ at most the state's f), and dropping candidates whose fill edges contain
 a sibling's.  Surviving children are then shrunk by the forced-elimination
 and forced-edge rules before being bounded.
 
+The graph left after eliminating a set does not depend on the order in
+which the set was eliminated, so the search reaches the same state many
+times.  A transposition table (the memo; Dow & Korf, "Best-First Search
+for Treewidth", AAAI 2007) maps each fully explored state to the
+smallest width g with which it was explored, and a child whose state is
+in the table with a stored g no larger than its own is closed like a
+child whose bound reached the best width.  The key is the whole reduced
+graph as bytes, not only its vertex set: forced edge additions depend on
+the best width and on the path taken, so two visits to one set can carry
+different graphs.  A state is stored when its stack entry is popped
+after all its children were explored; a search cut short by the
+deadline returns before any pop, so it stores nothing.  The table takes
+no new keys once they hold MEMO_BYTES bytes, but a stored g may still
+drop.
+
+Why the memo is sound: when the entry of a state with graph H and width
+g is popped, no completion of (H, g) is narrower than the current best
+width ub.  Each rule that drops completions below the state points
+somewhere already settled.  The bound drops only completions at least
+as wide as ub.  The forced rules, the successor restriction,
+mutual-simplicial and fill-subset keep a completion no wider than the
+ones they drop inside the state's own subtree, whose entries were all
+popped earlier.  The forbidden list and the memo point to subtrees that
+were popped earlier too.  So induction over pop time proves the claim,
+and as ub only ever drops it holds for the ub of every later visit.  A
+later visit to H with a width g' >= g has no completion narrower than
+(H, g) has, so none beats ub.  This covers states whose forbidden list
+removed candidates as well: what it removed was settled by a popped
+sibling.
+
 Each solve builds one _Search, which holds the settings, the deadline,
-the current component's upper bound and forbidden list, and what has
-been found so far.  The depth-first search keeps an explicit stack
+the current component's upper bound, forbidden list and memo, and what
+has been found so far.  The depth-first search keeps an explicit stack
 rather than recursing, because its depth reaches the number of
 vertices.  Entries of the forbidden list are pushed on an undo log, and
 leaving a node pops the log back to the mark it took on entry.
@@ -43,6 +73,9 @@ from .graph import (
 from .heuristics import EliminationOrder, best_upper_bound
 from .reduction import _reduce_masks
 
+# The memo takes no new states once its keys hold this many bytes.
+MEMO_BYTES = 64 << 20
+
 __all__ = [
     "RunReport",
     "SearchState",
@@ -60,7 +93,8 @@ class SolverConfig:
 
     time_limit is in seconds, None for no limit.  The initial upper
     bound is always one min-fill run, and every state is bounded by
-    minor-min-width.
+    minor-min-width.  memo turns on the table of fully explored states,
+    which only closes children that cannot beat the best width.
     """
 
     time_limit: float | None = None
@@ -70,6 +104,7 @@ class SolverConfig:
     prune_mutual_simplicial: bool = True
     prune_fill_subset: bool = True
     successor_restriction: bool = True
+    memo: bool = True
 
     def __post_init__(self):
         # not >= 0 also rejects NaN, which no deadline comparison would reach
@@ -206,6 +241,14 @@ def prune_fill_subset(candidates: list[int], g: Graph) -> list[int]:
     return keep
 
 
+def _memo_key(graph: Graph) -> bytes:
+    """The whole reduced graph as bytes: its active mask, then every row."""
+    k = (graph.n + 7) // 8
+    return graph._active.to_bytes(k, "little") + b"".join(
+        a.to_bytes(k, "little") for a in graph._adj
+    )
+
+
 def _bound(search, graph, prefix, g, f, h_pre, last, last_nb):
     """Shrink a state by the forced rules and bound it; None once f >= search.ub.
 
@@ -250,10 +293,11 @@ def _make_children(search, s: SearchState):
     a candidate.  children holds (branch-vertex, neighborhood-at-
     elimination, state) triples in ascending (f, vertex) order; closed
     holds the same pair data for candidates discarded because their
-    bound already reached ub, which are as concluded as an explored
-    sibling for forbidden-list purposes.
+    bound already reached ub or whose state search.memo holds with a g
+    no larger than theirs; both are as concluded as an explored sibling
+    for forbidden-list purposes.
     """
-    cfg, forb, ub = search.cfg, search.forb, search.ub
+    cfg, forb, ub, memo = search.cfg, search.forb, search.ub, search.memo
     g = s.graph
     active = g.active_mask
     cand_mask = active
@@ -277,6 +321,10 @@ def _make_children(search, s: SearchState):
         child = g.eliminate(v)
         h_pre = state_lower_bound(child, cap=ub)
         state = _bound(search, child, s.prefix + (v,), gv, s.f, h_pre, v, nbv)
+        if state is not None and cfg.memo:
+            seen = memo.get(_memo_key(state.graph))
+            if seen is not None and seen <= state.g:
+                state = None
         if state is None:
             closed.append((v, nbv))
         else:
@@ -295,7 +343,8 @@ def expand(
 
     forbidden is a fixed forbidden list for the sibling-order rule, in
     the engine's form: vertex -> neighborhood masks at which it is closed.
-    It is only read.  cfg.time_limit is ignored.
+    It is only read.  Each call starts with an empty memo, so cfg.memo
+    closes no child here.  cfg.time_limit is ignored.
     """
     if len(s.graph) < 2:
         raise GraphError("expand requires a state with at least two vertices")
@@ -308,12 +357,13 @@ def expand(
 class _Search:
     """One solve: its settings, its deadline and what it has found so far.
 
-    ub and forb belong to the component being searched: its best width
-    so far and its forbidden list (see _make_children).  nodes counts
-    expansions over all components, best holds each component's best
-    (width, order) and trace the improvements of the width over all of
-    them.  Every state is bounded by state_lower_bound, looked up at
-    each call.
+    ub, forb and memo belong to the component being searched: its best
+    width so far, its forbidden list (see _make_children) and its table
+    of fully explored states, reduced-graph key -> smallest g (see the
+    module docstring).  nodes counts expansions over all components,
+    best holds each component's best (width, order) and trace the
+    improvements of the width over all of them.  Every state is bounded
+    by state_lower_bound, looked up at each call.
     """
 
     def __init__(self, cfg: SolverConfig, should_stop=None, on_improvement=None):
@@ -324,6 +374,7 @@ class _Search:
         self.on_improvement = on_improvement
         self.ub = 0
         self.forb: dict[int, list[int]] = {}
+        self.memo: dict[bytes, int] = {}
         self.nodes = 0
         self.best: list[tuple[int, tuple[int, ...]]] = []
         self.trace: list[tuple[float, int]] = []
@@ -357,18 +408,20 @@ class _Search:
         """
         self.ub = self.best[i][0]
         self.forb = forb = {}
+        self.memo = memo = {}
         root = _bound(self, sub, (), 0, root_lb, root_lb, None, 0)
         if root is None:
             return self.ub
         lb = root.f
         # Each entry is (children left, undo-log mark, branch vertex, its
-        # neighborhood).  Popping an entry pops every vertex logged since
-        # its mark off forb, then closes its branch vertex in the parent.
+        # neighborhood, the state it expanded or None).  Popping an entry
+        # pops every vertex logged since its mark off forb, records its
+        # state in the memo, then closes its branch vertex in the parent.
         log: list[int] = []
         stack = []
         v, nbv, s = None, 0, root
         while True:
-            children, closed = (), ()
+            children, closed, expanded = (), (), None
             if s.f < self.ub:
                 if self.stop():
                     return lb
@@ -384,14 +437,20 @@ class _Search:
                     if made is None:
                         return lb
                     children, closed = made
-            stack.append((iter(children), len(log), v, nbv))
+                    expanded = s
+            stack.append((iter(children), len(log), v, nbv, expanded))
             for c, cnb in closed:
                 forb.setdefault(c, []).append(cnb)
                 log.append(c)
             while stack and (nxt := next(stack[-1][0], None)) is None:
-                _, mark, bv, bnb = stack.pop()
+                _, mark, bv, bnb, done = stack.pop()
                 while len(log) > mark:
                     forb[log.pop()].pop()
+                if done is not None and self.cfg.memo:
+                    # every key of a component has the same length
+                    key = _memo_key(done.graph)
+                    if key in memo or len(memo) * len(key) < MEMO_BYTES:
+                        memo[key] = min(memo.get(key, done.g), done.g)
                 if stack:
                     forb.setdefault(bv, []).append(bnb)
                     log.append(bv)
@@ -413,16 +472,18 @@ def solve(
     width, order) is called synchronously for the initial heuristic
     solution and every improvement.  The search stops once
     cfg.time_limit seconds have passed or should_stop() returns true;
-    both are checked between branch candidates and at node boundaries,
-    after the one heuristic run per component has completed.  Every
-    solve that is not cut short is deterministic for a given
+    both are checked once per elimination of the min-fill run, between
+    branch candidates and at node boundaries.  A stop during min-fill
+    finishes its order by minimum degree.  So a solve returns within the
+    time limit plus one minimum-degree tail plus one bounded child.
+    Every solve that is not cut short is deterministic for a given
     configuration.
     """
     search = _Search(cfg or SolverConfig(), should_stop, on_improvement)
     subs = [g.induced(c) for c in connected_components(g)]
     lbs = []
     for sub in subs:
-        order = best_upper_bound(sub)
+        order = best_upper_bound(sub, search.stop)
         search.best.append((order.width, order.vertices))
         lbs.append(state_lower_bound(sub))
     search.emit()

@@ -43,3 +43,32 @@ def test_orders_are_permutations_with_true_widths():
 def test_best_upper_bound_empty_graph():
     order = best_upper_bound(Graph(0, []))
     assert order.vertices == () and order.width == 0
+
+
+def test_a_stop_finishes_the_order_by_minimum_degree():
+    # a clique on 0-3 (fill 0, degree 3) beside a 4-cycle (fill 1, degree 2)
+    k4_c4 = Graph(
+        8, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5), (5, 6), (6, 7), (4, 7)]
+    )
+    assert min_fill_order(k4_c4).vertices[0] == 0
+    assert min_fill_order(k4_c4, lambda: True).vertices[0] == 4
+    g = mycielski(cycle(5))
+    assert min_fill_order(g, lambda: False) == min_fill_order(g)
+    polls = [0]
+
+    def stop_after(k):
+        def stop():
+            polls[0] += 1
+            return polls[0] > k
+
+        return stop
+
+    for k in range(g.n + 1):
+        polls[0] = 0
+        o = min_fill_order(g, stop_after(k))
+        assert o.vertices[:k] == min_fill_order(g).vertices[:k]
+        assert sorted(o.vertices) == list(g.vertices)
+        assert width_of_order(g, o.vertices) == o.width
+    # stopped at once, the order is minimum degree, ties to the lowest id
+    assert min_fill_order(path(4), lambda: True).vertices == (0, 1, 2, 3)
+    assert min_fill_order(star(3), lambda: True).vertices == (1, 2, 0, 3)

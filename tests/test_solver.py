@@ -33,6 +33,7 @@ from twbb import (
     solve,
     width_of_order,
 )
+from twbb import solver
 from twbb.oracle import exact_treewidth
 
 ALL_OFF = SolverConfig(
@@ -42,6 +43,7 @@ ALL_OFF = SolverConfig(
     prune_mutual_simplicial=False,
     prune_fill_subset=False,
     successor_restriction=False,
+    memo=False,
 )
 
 TOGGLES = (
@@ -51,6 +53,7 @@ TOGGLES = (
     "prune_mutual_simplicial",
     "prune_fill_subset",
     "successor_restriction",
+    "memo",
 )
 
 
@@ -126,56 +129,118 @@ def test_disconnected_components():
     check_report(g, r)
 
 
-def test_components_are_searched_independently():
-    # each component starts from its own heuristic width and forbidden list
-    g = disjoint_union(myciel(4), petersen(), gen_random(RandomGraphSpec(25, 50, 6)), cycle(6))
-    r = solve(g)
-    parts = [solve(g.induced(c)) for c in connected_components(g)]
-    assert r.nodes_expanded == sum(p.nodes_expanded for p in parts) > 267
-    assert r.best_width == max(p.best_width for p in parts)
-    assert r.best_order.vertices == tuple(v for p in parts for v in p.best_order.vertices)
-    check_report(g, r)
-
-
-# Node counts and orders under one min-fill run.  A change that alters
-# them on purpose updates this table and names the cause in CHANGES.md.
+# Node counts with and without the memo, and orders, under one min-fill
+# run.  A change that alters them on purpose updates this table and names
+# the cause in CHANGES.md.  The memo only closes subtrees that cannot
+# beat the best width, so it cuts nodes without changing an order.
 PINNED = [
     (
         myciel(4),
+        129,
         267,
         (16, 18, 19, 17, 20, 5, 6, 14, 8, 11, 12, 3, 0, 1, 2, 4, 7, 9, 10, 13, 15, 21, 22),
     ),
     (
         queen_graph(5),
+        748,
         1042,
         (0, 14, 23, 7, 2, 3, 5, 9, 13, 16, 1, 4, 6, 8, 10, 11, 12, 15, 17, 18, 19, 20, 21, 22, 24),
     ),
     (
         gen_random(RandomGraphSpec(25, 50, 5)),
+        53,
         80,
         (11, 17, 18, 19, 21, 23, 16, 22, 10, 14, 12, 20, 5, 8, 7, 13, 1, 0, 2, 3, 4, 6, 9, 15, 24),
     ),
     (
         gen_random(RandomGraphSpec(25, 50, 6)),
+        35,
         105,
         (8, 10, 22, 1, 3, 7, 19, 5, 16, 6, 13, 23, 12, 18, 0, 20, 11, 14, 15, 2, 4, 9, 17, 21, 24),
     ),
     (
         gen_random(RandomGraphSpec(25, 50, 10)),
+        135,
         285,
         (2, 4, 19, 1, 7, 10, 13, 15, 22, 8, 5, 18, 6, 16, 21, 17, 0, 14, 20, 3, 9, 11, 12, 23, 24),
     ),
 ]
+PINNED_IDS = ["myciel4", "queen5", "g25-50-s5", "g25-50-s6", "g25-50-s10"]
 
 
-@pytest.mark.parametrize(
-    "g,nodes,order", PINNED, ids=["myciel4", "queen5", "g25-50-s5", "g25-50-s6", "g25-50-s10"]
-)
-def test_search_is_pinned(g, nodes, order):
+def test_components_are_searched_independently():
+    # each component starts from its own heuristic width, forbidden list
+    # and memo
+    g = disjoint_union(myciel(4), petersen(), gen_random(RandomGraphSpec(25, 50, 6)), cycle(6))
+    r = solve(g)
+    parts = [solve(g.induced(c)) for c in connected_components(g)]
+    assert r.nodes_expanded == sum(p.nodes_expanded for p in parts) > PINNED[0][1]
+    assert r.best_width == max(p.best_width for p in parts)
+    assert r.best_order.vertices == tuple(v for p in parts for v in p.best_order.vertices)
+    check_report(g, r)
+
+
+@pytest.mark.parametrize("g,nodes,_,order", PINNED, ids=PINNED_IDS)
+def test_search_is_pinned(g, nodes, _, order):
     r = solve(g, SolverConfig())
     assert r.optimal
     assert r.nodes_expanded == nodes
     assert r.best_order.vertices == order
+
+
+@pytest.mark.parametrize("g,_,nodes,order", PINNED, ids=PINNED_IDS)
+def test_search_without_memo_is_pinned(g, _, nodes, order):
+    r = solve(g, SolverConfig(memo=False))
+    assert r.optimal
+    assert r.nodes_expanded == nodes
+    assert r.best_order.vertices == order
+
+
+def random_graph(rng, n_lo, n_hi):
+    n = rng.randint(n_lo, n_hi)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return Graph(n, rng.sample(pairs, rng.randint(n, min(3 * n, len(pairs)))))
+
+
+def test_memo_changes_no_width():
+    rng = random.Random(12)
+    for _ in range(60):
+        g = random_graph(rng, 15, 22)
+        on = solve(g)
+        off = solve(g, SolverConfig(memo=False))
+        assert on.optimal and off.optimal
+        assert on.best_width == off.best_width
+        assert on.nodes_expanded <= off.nodes_expanded
+        check_report(g, on)
+
+
+def test_full_memo_takes_no_new_states(monkeypatch):
+    # room for three keys of a 25-vertex graph: 26 rows of 4 bytes each
+    monkeypatch.setattr(solver, "MEMO_BYTES", 3 * 26 * 4)
+    sizes = []
+    make_children = solver._make_children
+
+    def spy(search, s):
+        sizes.append(sum(map(len, search.memo)))
+        return make_children(search, s)
+
+    monkeypatch.setattr(solver, "_make_children", spy)
+    for g, _, _, _ in PINNED[1:]:
+        r = solve(g)
+        assert r.optimal
+        assert r.best_width == solve(g, SolverConfig(memo=False)).best_width
+    assert max(sizes) == solver.MEMO_BYTES
+
+
+def test_min_fill_is_cut_short_by_the_deadline():
+    # min-fill alone takes several seconds here; a stop finishes its
+    # order by minimum degree
+    g = gen_random(RandomGraphSpec(600, 3000, seed=0))
+    r = solve(g, SolverConfig(time_limit=0.5))
+    assert r.elapsed < 2.5
+    assert r.nodes_expanded == 0 and not r.optimal
+    assert width_of_order(g, r.best_order.vertices) == r.best_width
+    check_report(g, r)
 
 
 def test_matches_oracle_on_random_graphs():
