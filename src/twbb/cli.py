@@ -56,7 +56,6 @@ RULE_FLAGS = (
         "--no-successor",
         "branch on all vertices, not only non-neighbors of the last one",
     ),
-    ("memo", "--no-memo", "disable the table of fully explored states"),
 )
 
 

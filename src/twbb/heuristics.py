@@ -34,26 +34,24 @@ def min_fill_order(g: Graph, stop=None) -> EliminationOrder:
     """Greedy order minimizing fill at each step; ties go to the lowest id.
 
     Fill counts are cached and recomputed only near the eliminated vertex.
-    stop, when given, is polled once per elimination; once it returns
-    true the rest of the order is finished by minimum degree (ties to the
-    lowest id), which needs no fill counts.  The order is a permutation of
-    the active vertices either way, and its width is exact.
+    stop, when given, is polled once per elimination: before the fill
+    counts are first computed, then after each elimination but the last.
+    Once it returns true the rest of the order is finished by minimum
+    degree (ties to the lowest id), which needs no fill counts.  The order
+    is a permutation of the active vertices either way, and its width is
+    exact.
     """
     adj = list(g._adj)
     active = g.active_mask
     # What each vertex is chosen by: its fill count, or its degree once
     # stop has fired.
+    tail = stop is not None and stop()
     key = [0] * g.n
     for v in bits(active):
-        key[v] = fill_count_in_masks(adj, v)
+        key[v] = adj[v].bit_count() if tail else fill_count_in_masks(adj, v)
     order = []
     width = 0
-    tail = False
     while active:
-        if not tail and stop is not None and stop():
-            tail = True
-            for x in bits(active):
-                key[x] = adj[x].bit_count()
         v = min(bits(active), key=key.__getitem__)
         d = adj[v].bit_count()
         if d > width:
@@ -62,18 +60,22 @@ def min_fill_order(g: Graph, stop=None) -> EliminationOrder:
         _eliminate_in_place(adj, v)
         active &= ~(1 << v)
         order.append(v)
-        if tail:
+        if not tail and active and stop is not None and stop():
+            tail = True
+            for x in bits(active):
+                key[x] = adj[x].bit_count()
+        elif tail:
             for x in bits(nb):
                 key[x] = adj[x].bit_count()
-            continue
-        # Fill counts can only change for the old neighbors and for
-        # vertices adjacent to a newly added edge, all of which now
-        # neighbor some old neighbor of v.
-        affected = nb
-        for a in bits(nb):
-            affected |= adj[a]
-        for x in bits(affected & active):
-            key[x] = fill_count_in_masks(adj, x)
+        else:
+            # Fill counts can only change for the old neighbors and for
+            # vertices adjacent to a newly added edge, all of which now
+            # neighbor some old neighbor of v.
+            affected = nb
+            for a in bits(nb):
+                affected |= adj[a]
+            for x in bits(affected & active):
+                key[x] = fill_count_in_masks(adj, x)
     return EliminationOrder(tuple(order), width)
 
 

@@ -93,8 +93,9 @@ class SolverConfig:
 
     time_limit is in seconds, None for no limit.  The initial upper
     bound is always one min-fill run, and every state is bounded by
-    minor-min-width.  memo turns on the table of fully explored states,
-    which only closes children that cannot beat the best width.
+    minor-min-width.  The table of fully explored states (see the module
+    docstring) is always on: it only closes children that cannot beat the
+    best width.
     """
 
     time_limit: float | None = None
@@ -104,7 +105,6 @@ class SolverConfig:
     prune_mutual_simplicial: bool = True
     prune_fill_subset: bool = True
     successor_restriction: bool = True
-    memo: bool = True
 
     def __post_init__(self):
         # not >= 0 also rejects NaN, which no deadline comparison would reach
@@ -291,11 +291,11 @@ def _make_children(search, s: SearchState):
 
     Returns (children, closed), or None when search.stop() fires before
     a candidate.  children holds (branch-vertex, neighborhood-at-
-    elimination, state) triples in ascending (f, vertex) order; closed
-    holds the same pair data for candidates discarded because their
-    bound already reached ub or whose state search.memo holds with a g
-    no larger than theirs; both are as concluded as an explored sibling
-    for forbidden-list purposes.
+    elimination, state, memo key of the state) tuples in ascending
+    (f, vertex) order; closed holds the same pair data for candidates
+    discarded because their bound already reached ub or whose state
+    search.memo holds with a g no larger than theirs; both are as
+    concluded as an explored sibling for forbidden-list purposes.
     """
     cfg, forb, ub, memo = search.cfg, search.forb, search.ub, search.memo
     g = s.graph
@@ -321,14 +321,13 @@ def _make_children(search, s: SearchState):
         child = g.eliminate(v)
         h_pre = state_lower_bound(child, cap=ub)
         state = _bound(search, child, s.prefix + (v,), gv, s.f, h_pre, v, nbv)
-        if state is not None and cfg.memo:
-            seen = memo.get(_memo_key(state.graph))
-            if seen is not None and seen <= state.g:
-                state = None
-        if state is None:
-            closed.append((v, nbv))
-        else:
-            children.append((v, nbv, state))
+        if state is not None:
+            key = _memo_key(state.graph)
+            seen = memo.get(key)
+            if seen is None or seen > state.g:
+                children.append((v, nbv, state, key))
+                continue
+        closed.append((v, nbv))
     children.sort(key=lambda t: (t[2].f, t[0]))
     return children, closed
 
@@ -343,7 +342,7 @@ def expand(
 
     forbidden is a fixed forbidden list for the sibling-order rule, in
     the engine's form: vertex -> neighborhood masks at which it is closed.
-    It is only read.  Each call starts with an empty memo, so cfg.memo
+    It is only read.  Each call starts with an empty memo, so the memo
     closes no child here.  cfg.time_limit is ignored.
     """
     if len(s.graph) < 2:
@@ -351,7 +350,7 @@ def expand(
     search = _Search(replace(cfg, time_limit=None))
     search.ub, search.forb = ub, forbidden or {}
     children, _ = _make_children(search, s)
-    return [state for _, _, state in children]
+    return [state for _, _, state, _ in children]
 
 
 class _Search:
@@ -414,12 +413,14 @@ class _Search:
             return self.ub
         lb = root.f
         # Each entry is (children left, undo-log mark, branch vertex, its
-        # neighborhood, the state it expanded or None).  Popping an entry
-        # pops every vertex logged since its mark off forb, records its
-        # state in the memo, then closes its branch vertex in the parent.
+        # neighborhood, (memo key, g) of the state it expanded or None).
+        # Popping an entry pops every vertex logged since its mark off
+        # forb, records its state in the memo, then closes its branch
+        # vertex in the parent.  The root is never recorded: popping it
+        # ends the search.
         log: list[int] = []
         stack = []
-        v, nbv, s = None, 0, root
+        v, nbv, s, key = None, 0, root, None
         while True:
             children, closed, expanded = (), (), None
             if s.f < self.ub:
@@ -437,7 +438,8 @@ class _Search:
                     if made is None:
                         return lb
                     children, closed = made
-                    expanded = s
+                    if key is not None:
+                        expanded = (key, s.g)
             stack.append((iter(children), len(log), v, nbv, expanded))
             for c, cnb in closed:
                 forb.setdefault(c, []).append(cnb)
@@ -446,17 +448,17 @@ class _Search:
                 _, mark, bv, bnb, done = stack.pop()
                 while len(log) > mark:
                     forb[log.pop()].pop()
-                if done is not None and self.cfg.memo:
+                if done is not None:
+                    dkey, dg = done
                     # every key of a component has the same length
-                    key = _memo_key(done.graph)
-                    if key in memo or len(memo) * len(key) < MEMO_BYTES:
-                        memo[key] = min(memo.get(key, done.g), done.g)
+                    if dkey in memo or len(memo) * len(dkey) < MEMO_BYTES:
+                        memo[dkey] = min(memo.get(dkey, dg), dg)
                 if stack:
                     forb.setdefault(bv, []).append(bnb)
                     log.append(bv)
             if not stack:
                 return self.ub
-            v, nbv, s = nxt
+            v, nbv, s, key = nxt
 
 
 def solve(
@@ -472,10 +474,13 @@ def solve(
     width, order) is called synchronously for the initial heuristic
     solution and every improvement.  The search stops once
     cfg.time_limit seconds have passed or should_stop() returns true;
-    both are checked once per elimination of the min-fill run, between
-    branch candidates and at node boundaries.  A stop during min-fill
-    finishes its order by minimum degree.  So a solve returns within the
-    time limit plus one minimum-degree tail plus one bounded child.
+    both are checked once per elimination of each component's min-fill
+    run, between branch candidates and at node boundaries.  A stop during
+    min-fill finishes its order by minimum degree, and a component whose
+    min-fill run starts after the stop is ordered by minimum degree from
+    the start.  So a solve returns within the time limit plus, for each
+    component, one minimum-degree tail and one root minor-min-width,
+    plus one bounded child.
     Every solve that is not cut short is deterministic for a given
     configuration.
     """

@@ -50,7 +50,6 @@ TOGGLES = (
     "prune_mutual_simplicial",
     "prune_fill_subset",
     "successor_restriction",
-    "memo",
 )
 
 # .td files emitted by earlier tests, each paired with its graph, so the

@@ -122,7 +122,6 @@ def test_solve_all_toggles(c5_gr, capsys):
         "--no-prune-mutual",
         "--no-prune-fill",
         "--no-successor",
-        "--no-memo",
     ]
     assert main(args) == 0
     assert "width 2 (optimal)" in capsys.readouterr().out

@@ -66,6 +66,8 @@ def test_a_stop_finishes_the_order_by_minimum_degree():
     for k in range(g.n + 1):
         polls[0] = 0
         o = min_fill_order(g, stop_after(k))
+        # once per elimination, and never after it fired
+        assert polls[0] == min(k + 1, g.n)
         assert o.vertices[:k] == min_fill_order(g).vertices[:k]
         assert sorted(o.vertices) == list(g.vertices)
         assert width_of_order(g, o.vertices) == o.width

@@ -25,6 +25,7 @@ from twbb import (
     expand,
     gen_partial_ktree,
     gen_random,
+    min_fill_order,
     minor_min_width,
     mycielski,
     prune_fill_subset,
@@ -43,7 +44,6 @@ ALL_OFF = SolverConfig(
     prune_mutual_simplicial=False,
     prune_fill_subset=False,
     successor_restriction=False,
-    memo=False,
 )
 
 TOGGLES = (
@@ -53,7 +53,6 @@ TOGGLES = (
     "prune_mutual_simplicial",
     "prune_fill_subset",
     "successor_restriction",
-    "memo",
 )
 
 
@@ -129,43 +128,37 @@ def test_disconnected_components():
     check_report(g, r)
 
 
-# Node counts with and without the memo, and orders, under one min-fill
-# run.  A change that alters them on purpose updates this table and names
-# the cause in CHANGES.md.  The memo only closes subtrees that cannot
-# beat the best width, so it cuts nodes without changing an order.
+# Node counts and orders under one min-fill run.  A change that alters
+# them on purpose updates this table and names the cause in CHANGES.md.
+# The memo only closes subtrees that cannot beat the best width, so it
+# moves counts but never an order.
 PINNED = [
     (
         myciel(4),
         129,
-        267,
         (16, 18, 19, 17, 20, 5, 6, 14, 8, 11, 12, 3, 0, 1, 2, 4, 7, 9, 10, 13, 15, 21, 22),
     ),
     (
         queen_graph(5),
         748,
-        1042,
         (0, 14, 23, 7, 2, 3, 5, 9, 13, 16, 1, 4, 6, 8, 10, 11, 12, 15, 17, 18, 19, 20, 21, 22, 24),
     ),
     (
         gen_random(RandomGraphSpec(25, 50, 5)),
         53,
-        80,
         (11, 17, 18, 19, 21, 23, 16, 22, 10, 14, 12, 20, 5, 8, 7, 13, 1, 0, 2, 3, 4, 6, 9, 15, 24),
     ),
     (
         gen_random(RandomGraphSpec(25, 50, 6)),
         35,
-        105,
         (8, 10, 22, 1, 3, 7, 19, 5, 16, 6, 13, 23, 12, 18, 0, 20, 11, 14, 15, 2, 4, 9, 17, 21, 24),
     ),
     (
         gen_random(RandomGraphSpec(25, 50, 10)),
         135,
-        285,
         (2, 4, 19, 1, 7, 10, 13, 15, 22, 8, 5, 18, 6, 16, 21, 17, 0, 14, 20, 3, 9, 11, 12, 23, 24),
     ),
 ]
-PINNED_IDS = ["myciel4", "queen5", "g25-50-s5", "g25-50-s6", "g25-50-s10"]
 
 
 def test_components_are_searched_independently():
@@ -180,17 +173,11 @@ def test_components_are_searched_independently():
     check_report(g, r)
 
 
-@pytest.mark.parametrize("g,nodes,_,order", PINNED, ids=PINNED_IDS)
-def test_search_is_pinned(g, nodes, _, order):
+@pytest.mark.parametrize(
+    "g,nodes,order", PINNED, ids=["myciel4", "queen5", "g25-50-s5", "g25-50-s6", "g25-50-s10"]
+)
+def test_search_is_pinned(g, nodes, order):
     r = solve(g, SolverConfig())
-    assert r.optimal
-    assert r.nodes_expanded == nodes
-    assert r.best_order.vertices == order
-
-
-@pytest.mark.parametrize("g,_,nodes,order", PINNED, ids=PINNED_IDS)
-def test_search_without_memo_is_pinned(g, _, nodes, order):
-    r = solve(g, SolverConfig(memo=False))
     assert r.optimal
     assert r.nodes_expanded == nodes
     assert r.best_order.vertices == order
@@ -202,16 +189,25 @@ def random_graph(rng, n_lo, n_hi):
     return Graph(n, rng.sample(pairs, rng.randint(n, min(3 * n, len(pairs)))))
 
 
+# Treewidths of the 60 graphs random_graph(random.Random(12), 15, 22)
+# draws, found by this search without the memo; the oracle stops at 14
+# vertices.
+MEMO_WIDTHS = [
+    5, 3, 6, 7, 8, 7, 5, 5, 6, 8, 6, 6, 3, 7, 7, 4, 3, 4, 4, 4,
+    4, 7, 6, 5, 7, 7, 6, 3, 3, 2, 5, 5, 6, 5, 5, 5, 6, 2, 4, 6,
+    3, 6, 3, 5, 5, 7, 5, 3, 3, 7, 6, 6, 5, 5, 7, 3, 3, 8, 3, 6,
+]
+
+
 def test_memo_changes_no_width():
+    # without the forbidden list, the memo is what closes most revisits
     rng = random.Random(12)
-    for _ in range(60):
+    for want in MEMO_WIDTHS:
         g = random_graph(rng, 15, 22)
-        on = solve(g)
-        off = solve(g, SolverConfig(memo=False))
-        assert on.optimal and off.optimal
-        assert on.best_width == off.best_width
-        assert on.nodes_expanded <= off.nodes_expanded
-        check_report(g, on)
+        for cfg in (SolverConfig(), SolverConfig(prune_sibling_order=False)):
+            r = solve(g, cfg)
+            assert r.optimal and r.best_width == want
+            check_report(g, r)
 
 
 def test_full_memo_takes_no_new_states(monkeypatch):
@@ -225,20 +221,32 @@ def test_full_memo_takes_no_new_states(monkeypatch):
         return make_children(search, s)
 
     monkeypatch.setattr(solver, "_make_children", spy)
-    for g, _, _, _ in PINNED[1:]:
+    for g, _, order in PINNED[1:]:
         r = solve(g)
-        assert r.optimal
-        assert r.best_width == solve(g, SolverConfig(memo=False)).best_width
+        assert r.optimal and r.best_width == width_of_order(g, order)
     assert max(sizes) == solver.MEMO_BYTES
 
 
-def test_min_fill_is_cut_short_by_the_deadline():
-    # min-fill alone takes several seconds here; a stop finishes its
-    # order by minimum degree
+def test_a_stop_cuts_min_fill_short():
+    # finishing min-fill here takes seconds; the stop is polled once per
+    # elimination and a minimum-degree tail finishes the order
     g = gen_random(RandomGraphSpec(600, 3000, seed=0))
-    r = solve(g, SolverConfig(time_limit=0.5))
-    assert r.elapsed < 2.5
+
+    def stop_after(k):
+        polls = []
+
+        def stop():
+            polls.append(None)
+            return len(polls) > k
+
+        return stop, polls
+
+    stop, polls = stop_after(5)
+    r = solve(g, should_stop=stop)
+    # six polls in min-fill, one before the search
+    assert len(polls) == 7
     assert r.nodes_expanded == 0 and not r.optimal
+    assert r.best_order.vertices == min_fill_order(g, stop_after(5)[0]).vertices
     assert width_of_order(g, r.best_order.vertices) == r.best_width
     check_report(g, r)
 
