@@ -295,7 +295,9 @@ def _make_children(search, s: SearchState):
     (f, vertex) order; closed holds the same pair data for candidates
     discarded because their bound already reached ub or whose state
     search.memo holds with a g no larger than theirs; both are as
-    concluded as an explored sibling for forbidden-list purposes.
+    concluded as an explored sibling for forbidden-list purposes.  A
+    candidate whose elimination degree or the state's g reaches ub is
+    closed before its child is built or bounded.
     """
     cfg, forb, ub, memo = search.cfg, search.forb, search.ub, search.memo
     g = s.graph
@@ -318,6 +320,10 @@ def _make_children(search, s: SearchState):
             return None
         nbv = g._adj[v]
         gv = max(s.g, nbv.bit_count())
+        if gv >= ub:
+            # the child's width alone reaches ub: close it unbuilt
+            closed.append((v, nbv))
+            continue
         child = g.eliminate(v)
         h_pre = state_lower_bound(child, cap=ub)
         state = _bound(search, child, s.prefix + (v,), gv, s.f, h_pre, v, nbv)

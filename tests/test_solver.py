@@ -183,6 +183,38 @@ def test_search_is_pinned(g, nodes, order):
     assert r.best_order.vertices == order
 
 
+def test_children_lost_on_degree_are_never_bounded(monkeypatch):
+    # a candidate whose elimination degree or the state's g reaches ub is
+    # closed before its child is built, so no bound runs on that child
+    parent = []
+    checked = []
+    make_children = solver._make_children
+    lower_bound = solver.state_lower_bound
+
+    def spy_children(search, s):
+        parent.append((search, s))
+        try:
+            return make_children(search, s)
+        finally:
+            parent.pop()
+
+    def spy_bound(graph, cap=None):
+        if parent:
+            search, s = parent[-1]
+            gone = s.graph.active_mask & ~graph.active_mask
+            if gone.bit_count() == 1:
+                v = gone.bit_length() - 1
+                assert max(s.g, s.graph._adj[v].bit_count()) < search.ub
+                checked.append(v)
+        return lower_bound(graph, cap=cap)
+
+    monkeypatch.setattr(solver, "_make_children", spy_children)
+    monkeypatch.setattr(solver, "state_lower_bound", spy_bound)
+    for g, nodes, _ in PINNED:
+        assert solve(g).nodes_expanded == nodes
+    assert checked
+
+
 def random_graph(rng, n_lo, n_hi):
     n = rng.randint(n_lo, n_hi)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
