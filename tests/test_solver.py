@@ -135,8 +135,8 @@ def test_disconnected_components():
 PINNED = [
     (
         myciel(4),
-        129,
-        (16, 18, 19, 17, 20, 5, 6, 14, 8, 11, 12, 3, 0, 1, 2, 4, 7, 9, 10, 13, 15, 21, 22),
+        128,
+        (16, 18, 19, 17, 20, 5, 6, 14, 13, 8, 9, 3, 0, 1, 2, 4, 7, 10, 11, 12, 15, 21, 22),
     ),
     (
         queen_graph(5),
@@ -150,12 +150,12 @@ PINNED = [
     ),
     (
         gen_random(RandomGraphSpec(25, 50, 6)),
-        35,
+        25,
         (8, 10, 22, 1, 3, 7, 19, 5, 16, 6, 13, 23, 12, 18, 0, 20, 11, 14, 15, 2, 4, 9, 17, 21, 24),
     ),
     (
         gen_random(RandomGraphSpec(25, 50, 10)),
-        135,
+        116,
         (2, 4, 19, 1, 7, 10, 13, 15, 22, 8, 5, 18, 6, 16, 21, 17, 0, 14, 20, 3, 9, 11, 12, 23, 24),
     ),
 ]
@@ -410,6 +410,18 @@ def test_expand_plain_children():
     assert all((k.g, k.h, k.f) == (2, 2, 2) for k in kids)
     fs = [k.f for k in kids]
     assert fs == sorted(fs)
+
+
+def test_expand_breaks_f_ties_by_vertices_left():
+    # eliminating 0 (degree 2) leaves six vertices and nothing forced,
+    # while every other child reduces to the empty graph at the same f
+    g = Graph(
+        7,
+        [(0, 1), (0, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 6), (4, 5), (5, 6)],
+    )
+    kids = expand(SearchState(g, (), 0, 0, 0), 10, SolverConfig())
+    assert [k.f for k in kids] == [4] * 5
+    assert [(k.prefix[0], len(k.graph)) for k in kids] == [(1, 0), (2, 0), (3, 0), (5, 0), (0, 6)]
 
 
 def test_expand_bounds_out_children():
