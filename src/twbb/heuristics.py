@@ -43,31 +43,21 @@ def min_fill_order(g: Graph, stop=None) -> EliminationOrder:
     """
     adj = list(g._adj)
     active = g.active_mask
-    # What each vertex is chosen by: its fill count, or its degree once
-    # stop has fired.
-    tail = stop is not None and stop()
-    key = [0] * g.n
-    for v in bits(active):
-        key[v] = adj[v].bit_count() if tail else fill_count_in_masks(adj, v)
     order = []
     width = 0
-    while active:
-        v = min(bits(active), key=key.__getitem__)
-        d = adj[v].bit_count()
-        if d > width:
-            width = d
-        nb = adj[v]
-        _eliminate_in_place(adj, v)
-        active &= ~(1 << v)
-        order.append(v)
-        if not tail and active and stop is not None and stop():
-            tail = True
-            for x in bits(active):
-                key[x] = adj[x].bit_count()
-        elif tail:
-            for x in bits(nb):
-                key[x] = adj[x].bit_count()
-        else:
+    if stop is None or not stop():
+        fill = [0] * g.n
+        for v in bits(active):
+            fill[v] = fill_count_in_masks(adj, v)
+        while active:
+            v = min(bits(active), key=fill.__getitem__)
+            nb = adj[v]
+            width = max(width, nb.bit_count())
+            _eliminate_in_place(adj, v)
+            active &= ~(1 << v)
+            order.append(v)
+            if not active or (stop is not None and stop()):
+                break
             # Fill counts can only change for the old neighbors and for
             # vertices adjacent to a newly added edge, all of which now
             # neighbor some old neighbor of v.
@@ -75,7 +65,37 @@ def min_fill_order(g: Graph, stop=None) -> EliminationOrder:
             for a in bits(nb):
                 affected |= adj[a]
             for x in bits(affected & active):
-                key[x] = fill_count_in_masks(adj, x)
+                fill[x] = fill_count_in_masks(adj, x)
+    # The minimum-degree tail.  bucket[d] masks the active vertices of
+    # degree d, so the lowest set bit of the lowest non-empty bucket is the
+    # lowest-id vertex of minimum degree, and lo never exceeds that degree.
+    # Only the old neighbors of an eliminated vertex change degree.
+    deg = [0] * g.n
+    bucket = [0] * max(g.n, 1)
+    for x in bits(active):
+        d = deg[x] = adj[x].bit_count()
+        bucket[d] |= 1 << x
+    lo = 0
+    while active:
+        while not bucket[lo]:
+            lo += 1
+        low = bucket[lo] & -bucket[lo]
+        bucket[lo] ^= low
+        active ^= low
+        v = low.bit_length() - 1
+        order.append(v)
+        width = max(width, lo)
+        nb = adj[v]
+        _eliminate_in_place(adj, v)
+        for x in bits(nb):
+            bx = 1 << x
+            d = adj[x].bit_count()
+            if d != deg[x]:
+                bucket[deg[x]] ^= bx
+                bucket[d] |= bx
+                deg[x] = d
+                if d < lo:
+                    lo = d
     return EliminationOrder(tuple(order), width)
 
 

@@ -1,5 +1,7 @@
 """Upper-bound heuristic: the min-fill order."""
 
+import random
+
 from conftest import clique, complete_bipartite, cycle, grid, path, star
 from twbb import Graph, best_upper_bound, min_fill_order, mycielski, width_of_order
 from twbb.heuristics import EliminationOrder
@@ -74,3 +76,32 @@ def test_a_stop_finishes_the_order_by_minimum_degree():
     # stopped at once, the order is minimum degree, ties to the lowest id
     assert min_fill_order(path(4), lambda: True).vertices == (0, 1, 2, 3)
     assert min_fill_order(star(3), lambda: True).vertices == (1, 2, 0, 3)
+
+
+def reference_order(g, k):
+    """k min-fill eliminations, then minimum degree, each by a full scan."""
+    order = []
+    while len(g):
+        key = g.fill_count if len(order) < k else g.degree
+        v = min(g.vertices, key=lambda u: (key(u), u))
+        order.append(v)
+        g = g.eliminate(v)
+    return tuple(order)
+
+
+def test_minimum_degree_tail_matches_a_full_scan():
+    rng = random.Random(5)
+    for _ in range(12):
+        n = rng.randint(10, 40)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        g = Graph(n, rng.sample(pairs, rng.randint(n, 3 * n)))
+        for k in sorted({0, 1, 2, n // 3, n // 2, n - 1, n}):
+            polls = [0]
+
+            def stop():
+                polls[0] += 1
+                return polls[0] > k
+
+            o = min_fill_order(g, stop)
+            assert o.vertices == reference_order(g, k)
+            assert width_of_order(g, o.vertices) == o.width
