@@ -71,7 +71,7 @@ def min_fill_order(g: Graph, stop=None) -> EliminationOrder:
     # lowest-id vertex of minimum degree, and lo never exceeds that degree.
     # Only the old neighbors of an eliminated vertex change degree.
     deg = [0] * g.n
-    bucket = [0] * max(g.n, 1)
+    bucket = [0] * g.n
     for x in bits(active):
         d = deg[x] = adj[x].bit_count()
         bucket[d] |= 1 << x

@@ -300,12 +300,12 @@ def _make_children(search, s: SearchState):
     a candidate.  children holds (branch-vertex, neighborhood-at-
     elimination, state, memo key of the state) tuples in ascending
     (f, vertices left, vertex) order, so among children of equal f the
-    one the forced rules shrank most is explored first; closed holds the same pair data for candidates
-    discarded because their bound already reached ub or whose state
-    search.memo holds with a g no larger than theirs; both are as
-    concluded as an explored sibling for forbidden-list purposes.  A
-    candidate whose elimination degree or the state's g reaches ub is
-    closed before its child is built or bounded.
+    one the forced rules shrank most is explored first.  closed holds the
+    same pair data for candidates discarded because their bound already
+    reached ub or whose state search.memo holds with a g no larger than
+    theirs; both are as concluded as an explored sibling for
+    forbidden-list purposes.  A candidate whose elimination degree or the
+    state's g reaches ub is closed before its child is built or bounded.
     """
     cfg, forb, ub, memo = search.cfg, search.forb, search.ub, search.memo
     g = s.graph

@@ -415,10 +415,8 @@ def test_expand_plain_children():
 def test_expand_breaks_f_ties_by_vertices_left():
     # eliminating 0 (degree 2) leaves six vertices and nothing forced,
     # while every other child reduces to the empty graph at the same f
-    g = Graph(
-        7,
-        [(0, 1), (0, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 6), (4, 5), (5, 6)],
-    )
+    edges = [(0, 1), (0, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6)]
+    g = Graph(7, edges + [(3, 4), (3, 6), (4, 5), (5, 6)])
     kids = expand(SearchState(g, (), 0, 0, 0), 10, SolverConfig())
     assert [k.f for k in kids] == [4] * 5
     assert [(k.prefix[0], len(k.graph)) for k in kids] == [(1, 0), (2, 0), (3, 0), (5, 0), (0, 6)]
