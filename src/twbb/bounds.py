@@ -72,7 +72,7 @@ def mcs_lb_max(g: Graph, restarts: int = 1) -> int:
     return max((mcs_lb(g, s) for s in g.vertices[:restarts]), default=0)
 
 
-def minor_min_width(g: Graph, cap: int | None = None) -> int:
+def minor_min_width(g: Graph, cap: int | None = None, stop=None) -> int:
     """Lower bound via repeated contraction of a min-degree vertex (least-c).
 
     Each round picks the minimum-degree vertex v (ties lowest id), records
@@ -85,10 +85,19 @@ def minor_min_width(g: Graph, cap: int | None = None) -> int:
 
     cap, when given, allows an early return with any value >= cap; the
     search only ever compares the result against cap (its pruning bound).
+    stop, when given, is polled once per contraction round, after the
+    round's degree is recorded; once it returns true the value so far is
+    returned.  That value is still sound, since every degree recorded is
+    the minimum degree of a minor, and it is at least the minimum degree.
     """
     adj = list(g._adj)
     deg = [m.bit_count() for m in adj]
-    alive = g.vertices
+    alive = []
+    rest = g._active
+    while rest:
+        low = rest & -rest
+        alive.append(low.bit_length() - 1)
+        rest ^= low
     n = g.n
     value = 0
     while len(alive) > value + 1:
@@ -101,6 +110,8 @@ def minor_min_width(g: Graph, cap: int | None = None) -> int:
             value = dv
             if cap is not None and value >= cap:
                 return value
+        if stop is not None and stop():
+            return value
         # least-c: degrees are below n, so the key orders by (common, degree)
         nv = adj[v]
         u, best = -1, None

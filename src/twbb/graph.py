@@ -229,9 +229,12 @@ def fill_touched_in_masks(adj: list[int], v: int) -> int:
     """Mask of v's neighbors that some fill edge of v would touch."""
     nb = adj[v]
     touched = 0
-    for u in bits(nb):
-        if nb & ~adj[u] & ~(1 << u):
-            touched |= 1 << u
+    rest = nb
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if nb & ~adj[low.bit_length() - 1] & ~low:
+            touched |= low
     return touched
 
 
@@ -246,10 +249,14 @@ def forced_in_masks(adj: list[int], v: int, lb: int) -> bool:
     so only the neighbors above u need checking.
     """
     nb = adj[v]
-    for u in bits(nb):
-        missing = nb & ~adj[u] & ~(1 << u)
+    rest = nb
+    while rest:
+        low = rest & -rest
+        u = low.bit_length() - 1
+        missing = nb & ~adj[u] & ~low
         if missing:
             break
+        rest ^= low
     else:
         return True
     if nb.bit_count() > lb:
@@ -263,8 +270,12 @@ def forced_in_masks(adj: list[int], v: int, lb: int) -> bool:
 def _eliminate_in_place(adj: list[int], v: int) -> None:
     nb = adj[v]
     bv = 1 << v
-    for u in bits(nb):
-        adj[u] = (adj[u] | nb) & ~((1 << u) | bv)
+    rest = nb
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u = low.bit_length() - 1
+        adj[u] = (adj[u] | nb) & ~(low | bv)
     adj[v] = 0
 
 

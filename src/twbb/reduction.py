@@ -62,8 +62,14 @@ def _reduction_sweep(
     returns the new active mask and g value.
     """
     while True:
-        v = next((v for v in bits(active) if forced_in_masks(adj, v, lb)), None)
-        if v is None:
+        rest = active
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            if forced_in_masks(adj, v, lb):
+                break
+            rest ^= low
+        else:
             return active, g_value
         nb = adj[v]
         deg = nb.bit_count()

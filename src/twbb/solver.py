@@ -23,32 +23,46 @@ left, then to the lower branch vertex.
 The graph left after eliminating a set does not depend on the order in
 which the set was eliminated, so the search reaches the same state many
 times.  A transposition table (the memo; Dow & Korf, "Best-First Search
-for Treewidth", AAAI 2007) maps each fully explored state to the
-smallest width g with which it was explored, and a child whose state is
-in the table with a stored g no larger than its own is closed like a
-child whose bound reached the best width.  The key is the whole reduced
-graph as bytes, not only its vertex set: forced edge additions depend on
-the best width and on the path taken, so two visits to one set can carry
-different graphs.  A state is stored when its stack entry is popped
-after all its children were explored; a search cut short by the
-deadline returns before any pop, so it stores nothing.  The table takes
-no new keys once they hold MEMO_BYTES bytes, but a stored g may still
-drop.
+for Treewidth", AAAI 2007) maps the vertex set of each settled state to
+the smallest width g with which it was settled.  A candidate whose
+child's vertex set is in the table with a stored g no larger than the
+child's is closed before its child is built, and a built child whose
+reduced vertex set is covered is closed like a child whose bound reached
+the best width.  A state is settled when its stack entry is popped after
+all its children were explored, and the table then takes its reduced
+vertex set; a built child closed by its bound or by the table is
+settled at once, and the table takes its vertex set before the forced
+rules ran, with the child's g.  A search cut short by the deadline
+returns without popping, so no state whose subtree it cut is stored.
+The table takes no new sets once it holds MEMO_STATES of them, but a
+stored g may still drop.
 
-Why the memo is sound: when the entry of a state with graph H and width
-g is popped, no completion of (H, g) is narrower than the current best
-width ub.  Each rule that drops completions below the state points
-somewhere already settled.  The bound drops only completions at least
-as wide as ub.  The forced rules, the successor restriction,
-mutual-simplicial and fill-subset keep a completion no wider than the
-ones they drop inside the state's own subtree, whose entries were all
-popped earlier.  The forbidden list and the memo point to subtrees that
-were popped earlier too.  So induction over pop time proves the claim,
-and as ub only ever drops it holds for the ub of every later visit.  A
-later visit to H with a width g' >= g has no completion narrower than
-(H, g) has, so none beats ub.  This covers states whose forbidden list
-removed candidates as well: what it removed was settled by a popped
-sibling.
+The key is the vertex set alone, although forced edge additions depend
+on the best width and on the path taken, so two visits to one set can
+carry different graphs: both are the graph the set leaves in the input
+plus forced edges.  Each forced edge was added between vertices with at
+least ub + 1 common neighbors for the ub of its time, which is at least
+the current ub, so every full order narrower than ub creates it anyway.
+Hence an order of the set's vertices is narrower than ub on one graph
+exactly when it is on the other, with the same width, and the
+completions narrower than ub are the same on both graphs.
+
+Why the memo is sound: when a vertex set S is stored with width g, no
+completion of any state on S with a width g' >= g is narrower than the
+current best width ub.  For a popped state, each rule that drops
+completions below it points somewhere already settled.  The bound drops
+only completions at least as wide as ub.  The forced rules, the
+successor restriction, mutual-simplicial and fill-subset keep a
+completion no wider than the ones they drop inside the state's own
+subtree, whose entries were all popped earlier.  The forbidden list and
+the memo point to subtrees that were settled earlier too.  A closed
+child has no completion narrower than ub after the forced rules, by its
+bound or by an earlier entry, and the forced rules keep the best
+completion below ub, so the child before them has none either.  So
+induction over settling time proves the claim, and as ub only ever drops
+it holds for the ub of every later visit.  This covers states whose
+forbidden list removed candidates as well: what it removed was settled
+by a popped sibling.
 
 Each solve builds one _Search, which holds the settings, the deadline,
 the current component's upper bound, forbidden list and memo, and what
@@ -76,8 +90,10 @@ from .graph import (
 from .heuristics import EliminationOrder, best_upper_bound
 from .reduction import _reduce_masks
 
-# The memo takes no new states once its keys hold this many bytes.
-MEMO_BYTES = 64 << 20
+# The memo takes no new states once it holds this many.  A full table
+# takes about 19 MiB at n = 80 and 50 MiB at n = 1,000 (CPython 3.11),
+# so it stays within 64 MiB for graphs of up to about 1,200 vertices.
+MEMO_STATES = 1 << 18
 
 __all__ = [
     "RunReport",
@@ -244,14 +260,6 @@ def prune_fill_subset(candidates: list[int], g: Graph) -> list[int]:
     return keep
 
 
-def _memo_key(graph: Graph) -> bytes:
-    """The whole reduced graph as bytes: its active mask, then every row."""
-    k = (graph.n + 7) // 8
-    return graph._active.to_bytes(k, "little") + b"".join(
-        a.to_bytes(k, "little") for a in graph._adj
-    )
-
-
 def _bound(search, graph, prefix, g, f, h_pre, last, last_nb):
     """Shrink a state by the forced rules and bound it; None once f >= search.ub.
 
@@ -298,14 +306,16 @@ def _make_children(search, s: SearchState):
 
     Returns (children, closed), or None when search.stop() fires before
     a candidate.  children holds (branch-vertex, neighborhood-at-
-    elimination, state, memo key of the state) tuples in ascending
-    (f, vertices left, vertex) order, so among children of equal f the
-    one the forced rules shrank most is explored first.  closed holds the
-    same pair data for candidates discarded because their bound already
-    reached ub or whose state search.memo holds with a g no larger than
-    theirs; both are as concluded as an explored sibling for
-    forbidden-list purposes.  A candidate whose elimination degree or the
-    state's g reaches ub is closed before its child is built or bounded.
+    elimination, state) tuples in ascending (f, vertices left, vertex)
+    order, so among children of equal f the one the forced rules shrank
+    most is explored first.  closed holds the same pair data for
+    candidates discarded because their bound already reached ub or whose
+    vertex set search.memo holds with a g no larger than theirs; both are
+    as concluded as an explored sibling for forbidden-list purposes.  A
+    candidate whose elimination degree or the state's g reaches ub, or
+    whose child's vertex set the memo covers, is closed before its child
+    is built or bounded.  A built child that its bound or the memo closes
+    is stored in the memo with its vertex set before the forced rules.
     """
     cfg, forb, ub, memo = search.cfg, search.forb, search.ub, search.memo
     g = s.graph
@@ -332,15 +342,21 @@ def _make_children(search, s: SearchState):
             # the child's width alone reaches ub: close it unbuilt
             closed.append((v, nbv))
             continue
+        key = active & ~(1 << v)
+        seen = memo.get(key)
+        if seen is not None and seen <= gv:
+            # the memo covers the child's vertex set: close it unbuilt
+            closed.append((v, nbv))
+            continue
         child = g.eliminate(v)
         h_pre = state_lower_bound(child, cap=ub)
         state = _bound(search, child, s.prefix + (v,), gv, s.f, h_pre, v, nbv)
         if state is not None:
-            key = _memo_key(state.graph)
-            seen = memo.get(key)
+            seen = memo.get(state.graph.active_mask)
             if seen is None or seen > state.g:
-                children.append((v, nbv, state, key))
+                children.append((v, nbv, state))
                 continue
+        search.remember(key, gv)
         closed.append((v, nbv))
     children.sort(key=lambda t: (t[2].f, len(t[2].graph), t[0]))
     return children, closed
@@ -367,7 +383,7 @@ def expand(
     search = _Search(replace(cfg, time_limit=None))
     search.ub, search.forb = ub, forbidden or {}
     children, _ = _make_children(search, s)
-    return [state for _, _, state, _ in children]
+    return [state for _, _, state in children]
 
 
 class _Search:
@@ -375,8 +391,8 @@ class _Search:
 
     ub, forb and memo belong to the component being searched: its best
     width so far, its forbidden list (see _make_children) and its table
-    of fully explored states, reduced-graph key -> smallest g (see the
-    module docstring).  nodes counts expansions over all components,
+    of settled states, vertex-set mask -> smallest g (see the module
+    docstring).  nodes counts expansions over all components,
     best holds each component's best (width, order) and trace the
     improvements of the width over all of them.  Every state is bounded
     by state_lower_bound, looked up at each call.
@@ -390,7 +406,7 @@ class _Search:
         self.on_improvement = on_improvement
         self.ub = 0
         self.forb: dict[int, list[int]] = {}
-        self.memo: dict[bytes, int] = {}
+        self.memo: dict[int, int] = {}
         self.nodes = 0
         self.best: list[tuple[int, tuple[int, ...]]] = []
         self.trace: list[tuple[float, int]] = []
@@ -399,6 +415,16 @@ class _Search:
         if self.deadline is not None and time.monotonic() >= self.deadline:
             return True
         return self.should_stop is not None and self.should_stop()
+
+    def remember(self, key: int, g: int) -> None:
+        """Record in the memo that the vertex set key is settled from width g."""
+        memo = self.memo
+        seen = memo.get(key)
+        if seen is None:
+            if len(memo) < MEMO_STATES:
+                memo[key] = g
+        elif g < seen:
+            memo[key] = g
 
     def width(self) -> int:
         return max((w for w, _ in self.best), default=0)
@@ -424,20 +450,20 @@ class _Search:
         """
         self.ub = self.best[i][0]
         self.forb = forb = {}
-        self.memo = memo = {}
+        self.memo = {}
         root = _bound(self, sub, (), 0, root_lb, root_lb, None, 0)
         if root is None:
             return self.ub
         lb = root.f
         # Each entry is (children left, undo-log mark, branch vertex, its
-        # neighborhood, (memo key, g) of the state it expanded or None).
+        # neighborhood, (vertex set, g) of the state it expanded or None).
         # Popping an entry pops every vertex logged since its mark off
         # forb, records its state in the memo, then closes its branch
         # vertex in the parent.  The root is never recorded: popping it
         # ends the search.
         log: list[int] = []
         stack = []
-        v, nbv, s, key = None, 0, root, None
+        v, nbv, s = None, 0, root
         while True:
             children, closed, expanded = (), (), None
             if s.f < self.ub:
@@ -455,8 +481,8 @@ class _Search:
                     if made is None:
                         return lb
                     children, closed = made
-                    if key is not None:
-                        expanded = (key, s.g)
+                    if v is not None:
+                        expanded = (s.graph.active_mask, s.g)
             stack.append((iter(children), len(log), v, nbv, expanded))
             for c, cnb in closed:
                 forb.setdefault(c, []).append(cnb)
@@ -466,16 +492,13 @@ class _Search:
                 while len(log) > mark:
                     forb[log.pop()].pop()
                 if done is not None:
-                    dkey, dg = done
-                    # every key of a component has the same length
-                    if dkey in memo or len(memo) * len(dkey) < MEMO_BYTES:
-                        memo[dkey] = min(memo.get(dkey, dg), dg)
+                    self.remember(*done)
                 if stack:
                     forb.setdefault(bv, []).append(bnb)
                     log.append(bv)
             if not stack:
                 return self.ub
-            v, nbv, s, key = nxt
+            v, nbv, s = nxt
 
 
 def solve(
@@ -495,9 +518,13 @@ def solve(
     run, between branch candidates and at node boundaries.  A stop during
     min-fill finishes its order by minimum degree, and a component whose
     min-fill run starts after the stop is ordered by minimum degree from
-    the start.  So a solve returns within the time limit plus, for each
-    component, one minimum-degree tail and one root minor-min-width,
-    plus one bounded child.
+    the start.  Each component's root minor-min-width polls once per
+    contraction round too.  So a solve returns within the time limit
+    plus, for each component, one minimum-degree tail and one
+    contraction round, plus one bounded child.  A root bound cut short
+    keeps the degrees it recorded, at least the minimum degree, so a
+    solve stopped before its root bounds finish reports a weaker
+    proven_lb.
     Every solve that is not cut short is deterministic for a given
     configuration.
     """
@@ -507,7 +534,7 @@ def solve(
     for sub in subs:
         order = best_upper_bound(sub, search.stop)
         search.best.append((order.width, order.vertices))
-        lbs.append(state_lower_bound(sub))
+        lbs.append(state_lower_bound(sub, stop=search.stop))
     search.emit()
     for i, sub in enumerate(subs):
         if search.stop():

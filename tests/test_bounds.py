@@ -101,6 +101,27 @@ def test_minor_min_width_cap():
     assert minor_min_width(g, cap=0) >= 0
 
 
+def test_a_stop_cuts_minor_min_width_short():
+    # stop is polled once per contraction round, after the round's degree
+    # is recorded, and the value so far comes back once it fires
+    g = gen_random(RandomGraphSpec(60, 300, seed=0))
+    polls = []
+
+    def stop_after(k):
+        polls.clear()
+        return lambda: polls.append(None) or len(polls) > k
+
+    full = minor_min_width(g, stop=stop_after(10**9))
+    rounds = len(polls)
+    assert full == minor_min_width(g) and rounds > 3
+    values = []
+    for k in range(rounds):
+        values.append(minor_min_width(g, stop=stop_after(k)))
+        assert len(polls) == k + 1
+    assert values[0] == min(g.degree(v) for v in g.vertices)
+    assert values == sorted(values) and values[-1] == full
+
+
 def least_c_reference(vertices, edges):
     """Minor-min-width with least-c contraction on a dict of sets, run to the end.
 

@@ -198,7 +198,7 @@ def test_children_lost_on_degree_are_never_bounded(monkeypatch):
         finally:
             parent.pop()
 
-    def spy_bound(graph, cap=None):
+    def spy_bound(graph, cap=None, stop=None):
         if parent:
             search, s = parent[-1]
             gone = s.graph.active_mask & ~graph.active_mask
@@ -206,7 +206,7 @@ def test_children_lost_on_degree_are_never_bounded(monkeypatch):
                 v = gone.bit_length() - 1
                 assert max(s.g, s.graph._adj[v].bit_count()) < search.ub
                 checked.append(v)
-        return lower_bound(graph, cap=cap)
+        return lower_bound(graph, cap=cap, stop=stop)
 
     monkeypatch.setattr(solver, "_make_children", spy_children)
     monkeypatch.setattr(solver, "state_lower_bound", spy_bound)
@@ -243,20 +243,144 @@ def test_memo_changes_no_width():
 
 
 def test_full_memo_takes_no_new_states(monkeypatch):
-    # room for three keys of a 25-vertex graph: 26 rows of 4 bytes each
-    monkeypatch.setattr(solver, "MEMO_BYTES", 3 * 26 * 4)
+    # room for three vertex sets
+    monkeypatch.setattr(solver, "MEMO_STATES", 3)
     sizes = []
+    memos = []
     make_children = solver._make_children
 
     def spy(search, s):
-        sizes.append(sum(map(len, search.memo)))
+        sizes.append(len(search.memo))
+        memos.append(search.memo)
         return make_children(search, s)
 
     monkeypatch.setattr(solver, "_make_children", spy)
     for g, _, order in PINNED[1:]:
         r = solve(g)
         assert r.optimal and r.best_width == width_of_order(g, order)
-    assert max(sizes) == solver.MEMO_BYTES
+    sizes += map(len, memos)
+    assert max(sizes) == solver.MEMO_STATES
+
+
+def test_children_the_memo_covers_are_never_built(monkeypatch):
+    # a candidate whose child's vertex set the memo holds at a g no larger
+    # than the child's is closed before it is eliminated or bounded
+    parent = []
+    hits = []
+    make_children = solver._make_children
+    eliminate = Graph.eliminate
+    lower_bound = solver.state_lower_bound
+
+    def covered(v):
+        search, s, _ = parent[-1]
+        seen = search.memo.get(s.graph.active_mask & ~(1 << v))
+        return seen is not None and seen <= max(s.g, s.graph._adj[v].bit_count())
+
+    def spy_children(search, s):
+        built = set()
+        parent.append((search, s, built))
+        try:
+            made = make_children(search, s)
+            for v, nbv in made[1] if made else ():
+                if v not in built and max(s.g, nbv.bit_count()) < search.ub:
+                    # closed unbuilt below ub, so the memo covered it
+                    assert covered(v)
+                    hits.append(v)
+            return made
+        finally:
+            parent.pop()
+
+    def spy_eliminate(graph, v):
+        if parent and graph is parent[-1][1].graph:
+            assert not covered(v)
+            parent[-1][2].add(v)
+        return eliminate(graph, v)
+
+    def spy_bound(graph, cap=None, stop=None):
+        if parent:
+            gone = parent[-1][1].graph.active_mask & ~graph.active_mask
+            if gone.bit_count() == 1:
+                assert not covered(gone.bit_length() - 1)
+        return lower_bound(graph, cap=cap, stop=stop)
+
+    monkeypatch.setattr(solver, "_make_children", spy_children)
+    monkeypatch.setattr(Graph, "eliminate", spy_eliminate)
+    monkeypatch.setattr(solver, "state_lower_bound", spy_bound)
+    for g, nodes, _ in PINNED:
+        assert solve(g).nodes_expanded == nodes
+    assert hits
+
+
+def forced_edge_family():
+    # seeds whose graphs reach one vertex set with and without a forced
+    # edge, found by search: about one graph in 1,200 of this size does
+    for seed in (2754, 4579, 5242):
+        rng = random.Random(seed)
+        n = rng.randint(13, 14)
+        p = rng.uniform(0.4, 0.6)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        yield Graph(n, [e for e in pairs if rng.random() < p])
+
+
+def test_memo_hits_across_forced_edges_are_sound(monkeypatch):
+    # Every graph the memo can have stored under a vertex set is recorded:
+    # each expanded state and each built child.  A hit on a graph not
+    # recorded under its set differs from every stored one by forced
+    # edges alone, since the set fixes the rest of the graph.
+    graphs = {}
+    parent = []
+    hits = {}
+    make_children = solver._make_children
+    bound = solver._bound
+    eliminate = Graph.eliminate
+
+    def note(graph):
+        graphs.setdefault(graph.active_mask, set()).add(graph)
+
+    def hit(search, graph, g):
+        seen = search.memo.get(graph.active_mask)
+        if seen is not None and seen <= g and graph not in graphs[graph.active_mask]:
+            hits[search.cfg] += 1
+
+    def spy_children(search, s):
+        note(s.graph)
+        built = set()
+        parent.append((s, built))
+        try:
+            made = make_children(search, s)
+            for v, nbv in made[1] if made else ():
+                gv = max(s.g, nbv.bit_count())
+                if v not in built and gv < search.ub:
+                    hit(search, eliminate(s.graph, v), gv)
+            return made
+        finally:
+            parent.pop()
+
+    def spy_eliminate(graph, v):
+        child = eliminate(graph, v)
+        if parent and graph is parent[-1][0].graph:
+            parent[-1][1].add(v)
+            note(child)
+        return child
+
+    def spy_bound(search, *args):
+        state = bound(search, *args)
+        if state is not None and parent:
+            hit(search, state.graph, state.g)
+        return state
+
+    monkeypatch.setattr(solver, "_make_children", spy_children)
+    monkeypatch.setattr(solver, "_bound", spy_bound)
+    monkeypatch.setattr(Graph, "eliminate", spy_eliminate)
+    for g in forced_edge_family():
+        want = exact_treewidth(g).treewidth
+        for cfg in (SolverConfig(), SolverConfig(prune_sibling_order=False)):
+            hits.setdefault(cfg, 0)
+            graphs.clear()
+            r = solve(g, cfg)
+            assert r.optimal and r.best_width == want
+            check_report(g, r)
+    assert all(hits.values()) and len(hits) == 2
 
 
 def test_a_stop_cuts_min_fill_short():
@@ -275,8 +399,9 @@ def test_a_stop_cuts_min_fill_short():
 
     stop, polls = stop_after(5)
     r = solve(g, should_stop=stop)
-    # six polls in min-fill, one before the search
-    assert len(polls) == 7
+    # six polls in min-fill, one in the root bound's first contraction
+    # round, one before the search
+    assert len(polls) == 8
     assert r.nodes_expanded == 0 and not r.optimal
     assert r.best_order.vertices == min_fill_order(g, stop_after(5)[0]).vertices
     assert width_of_order(g, r.best_order.vertices) == r.best_width
