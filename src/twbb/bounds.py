@@ -13,7 +13,7 @@ treewidth never goes up under minors.
 
 from __future__ import annotations
 
-from .graph import Graph, GraphError, _remove_in_place, bits
+from .graph import Graph, GraphError, bits
 
 
 def minwidth_lb(g: Graph) -> int:
@@ -30,8 +30,11 @@ def minwidth_lb(g: Graph) -> int:
         d = adj[v].bit_count()
         if d > value:
             value = d
-        _remove_in_place(adj, v)
-        active &= ~(1 << v)
+        bv = 1 << v
+        for u in bits(adj[v]):
+            adj[u] &= ~bv
+        adj[v] = 0
+        active &= ~bv
     return value
 
 

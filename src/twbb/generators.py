@@ -91,9 +91,13 @@ def mycielski(g: Graph) -> Graph:
     """Mycielskian of g: one shadow per vertex plus an apex.
 
     Raises the chromatic number without creating triangles; iterating it
-    on C_5 yields the classic myciel benchmark family.
+    on C_5 yields the classic myciel benchmark family.  Shadow ids are
+    offset by g.n, so every id of g must be active: raises GraphError
+    otherwise.
     """
     n = g.n
+    if len(g) != n:
+        raise GraphError(f"mycielski needs every id active, got {len(g)} of {n}")
     base = list(g.edges())
     out = list(base)
     for u, v in base:
@@ -108,6 +112,8 @@ def queen_graph(rows: int, cols: int | None = None) -> Graph:
     """Queen moves on a rows x cols board; vertices are squares, row-major."""
     if cols is None:
         cols = rows
+    if rows < 0 or cols < 0:
+        raise GraphError(f"negative board size: {rows} x {cols}")
     edges = set()
     for r in range(rows):
         for c in range(cols):

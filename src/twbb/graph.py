@@ -1,11 +1,11 @@
 """Undirected graphs with stable integer ids and an explicit active set.
 
 Vertices are ids 0..n-1 over a fixed universe of size n.  Operations that
-remove vertices (elimination, removal, induced subgraphs) deactivate ids;
-they never renumber, so an id means the same vertex at every depth of a
+remove vertices (elimination, induced subgraphs) deactivate ids; they
+never renumber, so an id means the same vertex at every depth of a
 search.  Adjacency is stored as one bitmask per vertex, which keeps
-neighborhood intersections and clique checks cheap.  All public operations
-return new Graph objects; nothing mutates a graph a caller can see.
+neighborhood intersections cheap.  All public operations return new Graph
+objects; nothing mutates a graph a caller can see.
 """
 
 from __future__ import annotations
@@ -25,13 +25,6 @@ def bits(mask: int):
         mask ^= low
 
 
-def mask_of(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 class Graph:
     __slots__ = ("n", "_adj", "_active")
 
@@ -39,10 +32,15 @@ class Graph:
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
         self.n = n
-        self._adj = [0] * n
+        self._adj = adj = [0] * n
         self._active = (1 << n) - 1
         for u, v in edges:
-            self._add_edge_checked(u, v)
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+            if u == v:
+                raise GraphError(f"self-loop at vertex {u}")
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
 
     @classmethod
     def _from_masks(cls, n: int, adj: list[int], active: int) -> "Graph":
@@ -52,16 +50,6 @@ class Graph:
         g._adj = adj
         g._active = active
         return g
-
-    def _add_edge_checked(self, u: int, v: int) -> None:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise GraphError(f"edge ({u}, {v}) out of range for n={self.n}")
-        if u == v:
-            raise GraphError(f"self-loop at vertex {u}")
-        if not (self._active >> u) & 1 or not (self._active >> v) & 1:
-            raise GraphError(f"edge ({u}, {v}) touches an inactive vertex")
-        self._adj[u] |= 1 << v
-        self._adj[v] |= 1 << u
 
     def _require_active(self, v: int) -> None:
         if not (0 <= v < self.n) or not (self._active >> v) & 1:
@@ -83,26 +71,6 @@ class Graph:
     def num_edges(self) -> int:
         return sum(self._adj[v].bit_count() for v in bits(self._active)) // 2
 
-    def has_vertex(self, v: int) -> bool:
-        return 0 <= v < self.n and bool((self._active >> v) & 1)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._require_active(u)
-        self._require_active(v)
-        return bool((self._adj[u] >> v) & 1)
-
-    def neighbors(self, v: int) -> set[int]:
-        self._require_active(v)
-        return set(bits(self._adj[v]))
-
-    def neighbors_mask(self, v: int) -> int:
-        self._require_active(v)
-        return self._adj[v]
-
-    def degree(self, v: int) -> int:
-        self._require_active(v)
-        return self._adj[v].bit_count()
-
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for u in bits(self._active):
@@ -110,36 +78,6 @@ class Graph:
             for k in bits(higher):
                 out.append((u, u + 1 + k))
         return out
-
-    def is_clique(self, vertices_mask: int) -> bool:
-        """True when every pair of the given active vertices is adjacent."""
-        return clique_in_masks(self._adj, vertices_mask)
-
-    def is_simplicial(self, v: int) -> bool:
-        """True when v's neighborhood is a clique."""
-        self._require_active(v)
-        return clique_in_masks(self._adj, self._adj[v])
-
-    def is_almost_simplicial(self, v: int) -> bool:
-        """True when removing one neighbor would leave v's neighborhood a clique.
-
-        Geometric condition only: ``forced_in_masks`` with the degree gate
-        at v's own degree.  A simplicial vertex with at least one neighbor
-        qualifies; an isolated vertex does not.
-        """
-        self._require_active(v)
-        nb = self._adj[v]
-        return nb != 0 and forced_in_masks(self._adj, v, nb.bit_count())
-
-    def fill_edges(self, v: int) -> set[tuple[int, int]]:
-        """Pairs of v's neighbors that eliminating v would have to connect."""
-        self._require_active(v)
-        return set(fill_edges_in_masks(self._adj, v))
-
-    def fill_count(self, v: int) -> int:
-        """Number of fill edges eliminating v would create."""
-        self._require_active(v)
-        return fill_count_in_masks(self._adj, v)
 
     # -- rewriting -----------------------------------------------------
 
@@ -149,20 +87,6 @@ class Graph:
         adj = list(self._adj)
         _eliminate_in_place(adj, v)
         return Graph._from_masks(self.n, adj, self._active & ~(1 << v))
-
-    def remove_vertex(self, v: int) -> "Graph":
-        """Remove v without adding fill edges."""
-        self._require_active(v)
-        adj = list(self._adj)
-        _remove_in_place(adj, v)
-        return Graph._from_masks(self.n, adj, self._active & ~(1 << v))
-
-    def with_edges(self, extra: Iterable[tuple[int, int]]) -> "Graph":
-        """A copy with the given edges added (endpoints must be active)."""
-        g = Graph._from_masks(self.n, list(self._adj), self._active)
-        for u, v in extra:
-            g._add_edge_checked(u, v)
-        return g
 
     def induced(self, vertices: Iterable[int]) -> "Graph":
         """Subgraph induced on the given active vertices, keeping ids."""
@@ -201,19 +125,6 @@ def clique_in_masks(adj: list[int], vertices_mask: int) -> bool:
         if rest & ~adj[v]:
             return False
     return True
-
-
-def fill_edges_in_masks(adj: list[int], v: int) -> list[tuple[int, int]]:
-    """Pairs (u, w), u < w, of v's neighbors that eliminating v would connect."""
-    out = []
-    rest = adj[v]
-    while rest:
-        low = rest & -rest
-        u = low.bit_length() - 1
-        rest ^= low
-        for w in bits(rest & ~adj[u]):
-            out.append((u, w))
-    return out
 
 
 def fill_count_in_masks(adj: list[int], v: int) -> int:
@@ -276,13 +187,6 @@ def _eliminate_in_place(adj: list[int], v: int) -> None:
         rest ^= low
         u = low.bit_length() - 1
         adj[u] = (adj[u] | nb) & ~(low | bv)
-    adj[v] = 0
-
-
-def _remove_in_place(adj: list[int], v: int) -> None:
-    bv = 1 << v
-    for u in bits(adj[v]):
-        adj[u] &= ~bv
     adj[v] = 0
 
 

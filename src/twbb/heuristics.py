@@ -20,15 +20,6 @@ class EliminationOrder:
     vertices: tuple[int, ...]
     width: int
 
-    def __iter__(self):
-        return iter(self.vertices)
-
-    def __len__(self):
-        return len(self.vertices)
-
-    def __getitem__(self, i):
-        return self.vertices[i]
-
 
 def min_fill_order(g: Graph, stop=None) -> EliminationOrder:
     """Greedy order minimizing fill at each step; ties go to the lowest id.

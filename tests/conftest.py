@@ -1,4 +1,10 @@
-"""Shared graph builders for the test suite."""
+"""Shared graph builders and plain graph references for the test suite.
+
+neighbors, adjacent, degree and fill_edges read a graph through
+g.edges() alone, so that they stay independent of the engine's masks.
+"""
+
+import itertools
 
 from twbb import Graph
 
@@ -52,3 +58,22 @@ def disjoint_union(*graphs):
         edges.extend((u + offset, v + offset) for u, v in g.edges())
         offset += g.n
     return Graph(offset, edges)
+
+
+def neighbors(g, v):
+    return {b if a == v else a for a, b in g.edges() if v in (a, b)}
+
+
+def adjacent(g, u, v):
+    return (min(u, v), max(u, v)) in g.edges()
+
+
+def degree(g, v):
+    return len(neighbors(g, v))
+
+
+def fill_edges(g, v):
+    """Pairs (a, b), a < b, of v's neighbors that eliminating v would connect."""
+    edges = set(g.edges())
+    nb = sorted(neighbors(g, v))
+    return {e for e in itertools.combinations(nb, 2) if e not in edges}

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from conftest import clique, cycle, path, petersen, star
+from conftest import clique, cycle, degree, path, petersen, star
 from twbb import (
     Graph,
     GraphError,
@@ -118,7 +118,7 @@ def test_a_stop_cuts_minor_min_width_short():
     for k in range(rounds):
         values.append(minor_min_width(g, stop=stop_after(k)))
         assert len(polls) == k + 1
-    assert values[0] == min(g.degree(v) for v in g.vertices)
+    assert values[0] == min(degree(g, v) for v in g.vertices)
     assert values == sorted(values) and values[-1] == full
 
 

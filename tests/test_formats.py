@@ -34,7 +34,7 @@ def test_parse_col():
 def test_parse_col_header_variants():
     for token in ("edge", "edges", "col"):
         g = parse_dimacs_col(f"p {token} 2 1\ne 1 2\n")
-        assert g.n == 2 and g.has_edge(0, 1)
+        assert g.n == 2 and g.edges() == [(0, 1)]
 
 
 def test_duplicate_edges_merge():

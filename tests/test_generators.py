@@ -5,7 +5,7 @@ import io
 import json
 
 import pytest
-from conftest import clique, cycle, disjoint_union
+from conftest import clique, cycle, degree, disjoint_union
 from twbb import (
     Graph,
     GraphError,
@@ -93,8 +93,15 @@ def test_mycielski():
     # the Mycielskian of a single edge is the 5-cycle
     m = mycielski(Graph(2, [(0, 1)]))
     assert m.n == 5 and m.num_edges() == 5
-    assert all(m.degree(v) == 2 for v in m.vertices)
+    assert all(degree(m, v) == 2 for v in m.vertices)
     assert exact_treewidth(m).treewidth == 2
+
+
+def test_mycielski_rejects_inactive_ids():
+    # K2 on ids 0 and 1 of a 3-id universe; id 2 is not a vertex
+    for g in (Graph(3, [(0, 1)]).induced([0, 1]), cycle(5).eliminate(0)):
+        with pytest.raises(GraphError, match="every id active"):
+            mycielski(g)
 
 
 def test_queen_graphs():
@@ -104,6 +111,13 @@ def test_queen_graphs():
     assert q.n == 6 and q.num_edges() == 13
     q5 = queen_graph(5)
     assert q5.n == 25 and q5.num_edges() == 160
+
+
+def test_queen_graph_rejects_negative_sizes():
+    for rows, cols in ((-1, None), (-2, None), (-2, -3), (2, -3), (-3, 2)):
+        with pytest.raises(GraphError, match="negative board size"):
+            queen_graph(rows, cols)
+    assert queen_graph(0).n == 0 and queen_graph(3, 0).n == 0
 
 
 def test_run_family_records():

@@ -6,9 +6,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import clique, complete_bipartite, cycle, path, star
+from conftest import clique, complete_bipartite, cycle, degree, fill_edges, neighbors, path
 from twbb import Graph, GraphError, connected_components, width_of_order
-from twbb.graph import bits, forced_in_masks, mask_of
+from twbb.graph import bits, fill_count_in_masks, forced_in_masks
 
 
 def random_graph_strategy(max_n=9):
@@ -38,74 +38,68 @@ def test_basic_inspection():
     assert g.num_edges() == 2
     assert g.vertices == [0, 1, 2, 3]
     assert g.edges() == [(0, 1), (1, 2)]
-    assert g.has_edge(1, 0)
-    assert not g.has_edge(0, 2)
-    assert g.degree(1) == 2
-    assert g.neighbors(1) == {0, 2}
-    assert g.degree(3) == 0
 
 
 def test_bits_and_mask_helpers():
     assert list(bits(0b101101)) == [0, 2, 3, 5]
-    assert mask_of([0, 2]) == 0b101
 
 
 def test_eliminate_connects_neighbors():
-    g = cycle(4).eliminate(0)
-    assert not g.has_vertex(0)
-    assert g.has_edge(1, 3)
-    assert sorted(g.vertices) == [1, 2, 3]
+    g = cycle(4)
+    after = g.eliminate(0)
+    assert after.vertices == [1, 2, 3]
+    assert after.edges() == [(1, 2), (1, 3), (2, 3)]
     # original is untouched
-    assert cycle(4).has_vertex(0)
+    assert g == cycle(4)
 
 
 def test_eliminate_clique_gives_smaller_clique():
     assert clique(4).eliminate(0) == clique(4).induced([1, 2, 3])
 
 
-def test_remove_vertex_adds_no_fill():
-    g = cycle(4).remove_vertex(0)
-    assert not g.has_edge(1, 3)
-
-
 def test_fill_edges():
-    g = cycle(4)
-    assert g.fill_edges(0) == {(1, 3)}
-    assert g.fill_count(0) == 1
-    assert clique(4).fill_count(2) == 0
+    assert fill_edges(cycle(4), 0) == {(1, 3)}
+    assert fill_count_in_masks(cycle(4)._adj, 0) == 1
+    assert fill_count_in_masks(clique(4)._adj, 2) == 0
+    assert fill_count_in_masks(Graph(2, [])._adj, 0) == 0
+    rng = random.Random(3)
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4])
+        for v in g.vertices:
+            assert fill_count_in_masks(g._adj, v) == len(fill_edges(g, v))
 
 
 def test_simplicial_predicates():
-    g = path(4)
-    assert g.is_simplicial(0)
-    assert not g.is_simplicial(1)
-    assert clique(5).is_simplicial(3)
-    # isolated vertices are simplicial but not almost simplicial
-    iso = Graph(2, [])
-    assert iso.is_simplicial(0)
-    assert not iso.is_almost_simplicial(0)
+    # a simplicial vertex may go first under any lower bound
+    assert forced_in_masks(path(4)._adj, 0, 0)
+    assert not forced_in_masks(path(4)._adj, 1, 0)
+    assert forced_in_masks(clique(5)._adj, 3, 0)
+    # an isolated vertex is simplicial
+    assert forced_in_masks(Graph(2, [])._adj, 0, 0)
 
 
 def test_almost_simplicial():
-    # a degree-1 vertex and any simplicial vertex with a neighbor qualify
-    assert path(4).is_almost_simplicial(0)
-    assert clique(4).is_almost_simplicial(1)
+    # almost simplicial vertices go first once the bound reaches their degree
     # cycle vertices: dropping either neighbor leaves a single vertex
-    assert cycle(5).is_almost_simplicial(2)
+    assert forced_in_masks(cycle(5)._adj, 2, 2)
+    assert not forced_in_masks(cycle(5)._adj, 2, 1)
     # complete bipartite center: N(0) = three pairwise non-adjacent leaves
-    assert not complete_bipartite(1, 3).is_almost_simplicial(0)
+    assert not forced_in_masks(complete_bipartite(1, 3)._adj, 0, 3)
     # wheel rim vertex: neighbors hub + two rim; dropping one rim works
     wheel = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)])
-    assert wheel.is_almost_simplicial(1)
-    assert not wheel.is_almost_simplicial(0)
+    assert forced_in_masks(wheel._adj, 1, 3)
+    assert not forced_in_masks(wheel._adj, 1, 2)
+    assert not forced_in_masks(wheel._adj, 0, 4)
 
 
 def _forced_reference(g, v):
     """(simplicial, almost simplicial) for v by brute force over N(v)."""
-    nb = g.neighbors(v)
+    nb = neighbors(g, v)
+    edges = set(g.edges())
 
     def is_clique(vs):
-        return all(g.has_edge(a, b) for a, b in itertools.combinations(vs, 2))
+        return all(e in edges for e in itertools.combinations(sorted(vs), 2))
 
     return is_clique(nb), any(is_clique(nb - {x}) for x in nb)
 
@@ -113,8 +107,7 @@ def _forced_reference(g, v):
 def _check_forced(g):
     for v in g.vertices:
         simplicial, almost = _forced_reference(g, v)
-        assert g.is_almost_simplicial(v) == almost
-        deg = g.degree(v)
+        deg = degree(g, v)
         for lb in range(g.n + 1):
             expected = simplicial or (deg <= lb and almost)
             assert forced_in_masks(g._adj, v, lb) == expected, (g.edges(), v, lb)
@@ -136,12 +129,11 @@ def test_forced_matches_brute_force_on_random_graphs():
         _check_forced(Graph(n, [e for e in pairs if rng.random() < p]))
 
 
-def test_with_edges_and_induced():
-    g = path(3).with_edges([(0, 2)])
-    assert g.has_edge(0, 2)
-    sub = g.induced([0, 1])
-    assert sub.has_edge(0, 1)
-    assert not sub.has_vertex(2)
+def test_induced_keeps_ids():
+    sub = clique(3).induced([0, 2])
+    assert sub.n == 3
+    assert sub.vertices == [0, 2]
+    assert sub.edges() == [(0, 2)]
     assert sub.num_edges() == 1
 
 
@@ -174,11 +166,10 @@ def test_equality_and_hash():
 @given(random_graph_strategy())
 def test_eliminate_leaves_clique_property(g):
     for v in g.vertices:
-        nb = g.neighbors_mask(v)
         after = g.eliminate(v)
-        assert after.is_clique(nb)
-        assert not after.has_vertex(v)
-        assert len(after) == len(g) - 1
+        kept = {e for e in g.edges() if v not in e}
+        assert set(after.edges()) == kept | fill_edges(g, v)
+        assert after.vertices == [u for u in g.vertices if u != v]
 
 
 @given(random_graph_strategy())
@@ -186,4 +177,4 @@ def test_any_permutation_width_bounds(g):
     w = width_of_order(g, g.vertices)
     assert 0 <= w < len(g)
     # the first eliminated vertex contributes its full degree
-    assert w >= min(g.degree(v) for v in g.vertices)
+    assert w >= min(degree(g, v) for v in g.vertices)

@@ -2,17 +2,9 @@
 
 import random
 
-from conftest import clique, complete_bipartite, cycle, grid, path, star
+from conftest import clique, complete_bipartite, cycle, degree, fill_edges, grid, path, star
 from twbb import Graph, best_upper_bound, min_fill_order, mycielski, width_of_order
-from twbb.heuristics import EliminationOrder
 from twbb.oracle import exact_treewidth
-
-
-def test_elimination_order_behaves_like_a_sequence():
-    o = EliminationOrder((2, 0, 1), 1)
-    assert len(o) == 3
-    assert list(o) == [2, 0, 1]
-    assert o[0] == 2
 
 
 def test_min_fill_is_exact_on_chordal_graphs():
@@ -82,8 +74,10 @@ def reference_order(g, k):
     """k min-fill eliminations, then minimum degree, each by a full scan."""
     order = []
     while len(g):
-        key = g.fill_count if len(order) < k else g.degree
-        v = min(g.vertices, key=lambda u: (key(u), u))
+        if len(order) < k:
+            v = min(g.vertices, key=lambda u: (len(fill_edges(g, u)), u))
+        else:
+            v = min(g.vertices, key=lambda u: (degree(g, u), u))
         order.append(v)
         g = g.eliminate(v)
     return tuple(order)

@@ -9,6 +9,7 @@ from conftest import (
     complete_bipartite,
     cycle,
     disjoint_union,
+    fill_edges,
     grid,
     path,
     petersen,
@@ -589,7 +590,7 @@ def test_prune_sibling_order_matches_snapshot():
     # the rule is off, or the neighborhood no longer matches the snapshot
     kids = expand(SearchState(g, (), 0, 0, 0), 10, ALL_OFF, forbidden)
     assert [k.prefix for k in kids] == [(0,), (1,), (2,), (3,)]
-    changed = SearchState(g.with_edges([(1, 3)]), (), 0, 0, 0)
+    changed = SearchState(Graph(g.n, g.edges() + [(1, 3)]), (), 0, 0, 0)
     kids = expand(changed, 10, cfg, forbidden)
     assert (1,) in [k.prefix for k in kids]
 
@@ -616,7 +617,7 @@ def test_prune_fill_subset_cases():
 
 def test_prune_fill_subset_matches_fill_edge_sets():
     def reference(cands, g):
-        fills = {v: frozenset(g.fill_edges(v)) for v in cands}
+        fills = {v: frozenset(fill_edges(g, v)) for v in cands}
         return [
             v
             for v in cands
