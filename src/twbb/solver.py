@@ -23,19 +23,18 @@ left, then to the lower branch vertex.
 The graph left after eliminating a set does not depend on the order in
 which the set was eliminated, so the search reaches the same state many
 times.  A transposition table (the memo; Dow & Korf, "Best-First Search
-for Treewidth", AAAI 2007) maps the vertex set of each settled state to
-the smallest width g with which it was settled.  A candidate whose
-child's vertex set is in the table with a stored g no larger than the
-child's is closed before its child is built, and a built child whose
-reduced vertex set is covered is closed like a child whose bound reached
-the best width.  A state is settled when its stack entry is popped after
-all its children were explored, and the table then takes its reduced
-vertex set; a built child closed by its bound or by the table is
-settled at once, and the table takes its vertex set before the forced
-rules ran, with the child's g.  A search cut short by the deadline
-returns without popping, so no state whose subtree it cut is stored.
-The table takes no new sets once it holds MEMO_STATES of them, but a
-stored g may still drop.
+for Treewidth", AAAI 2007) is the set of dead vertex sets: sets whose
+remaining graph has no elimination order narrower than the current best
+width ub.  A candidate whose child's vertex set is in the memo is closed
+before its child is built, and a built child whose reduced vertex set is
+in it is closed like a child whose bound reached ub.  A state is settled
+when its stack entry is popped after all its children were explored, and
+the memo then takes its reduced vertex set if its g is below ub; a built
+child closed by its bound or by the memo is settled at once, and the
+memo takes its vertex set before the forced rules ran.  A search cut
+short by the deadline returns without popping, so no state whose subtree
+it cut is stored.  The memo takes no new sets once it holds MEMO_STATES
+of them.
 
 The key is the vertex set alone, although forced edge additions depend
 on the best width and on the path taken, so two visits to one set can
@@ -47,22 +46,23 @@ Hence an order of the set's vertices is narrower than ub on one graph
 exactly when it is on the other, with the same width, and the
 completions narrower than ub are the same on both graphs.
 
-Why the memo is sound: when a vertex set S is stored with width g, no
-completion of any state on S with a width g' >= g is narrower than the
-current best width ub.  For a popped state, each rule that drops
-completions below it points somewhere already settled.  The bound drops
-only completions at least as wide as ub.  The forced rules, the
-successor restriction, mutual-simplicial and fill-subset keep a
-completion no wider than the ones they drop inside the state's own
-subtree, whose entries were all popped earlier.  The forbidden list and
-the memo point to subtrees that were settled earlier too.  A closed
-child has no completion narrower than ub after the forced rules, by its
-bound or by an earlier entry, and the forced rules keep the best
-completion below ub, so the child before them has none either.  So
-induction over settling time proves the claim, and as ub only ever drops
-it holds for the ub of every later visit.  This covers states whose
-forbidden list removed candidates as well: what it removed was settled
-by a popped sibling.
+Why the memo is sound: every stored vertex set is dead.  For a popped
+state, each rule that drops completions below it points somewhere
+already settled.  The bound drops only completions at least as wide as
+ub.  The forced rules, the successor restriction, mutual-simplicial and
+fill-subset keep a completion no wider than the ones they drop inside
+the state's own subtree, whose entries were all popped earlier.  The
+forbidden list and the memo point to subtrees that were settled earlier
+too.  A closed child has no completion narrower than ub after the forced
+rules, by its bound or by an earlier entry, and the forced rules keep
+the best completion below ub, so the child before them has none either.
+So induction over settling time shows that no completion of a settled
+state is narrower than ub.  A completion's width is the larger of the
+state's g and the width of its order of the remaining graph, so when g
+is below ub every such order is at least ub wide: the set is dead, and
+stays dead as ub only ever drops.  This covers states whose forbidden
+list removed candidates as well: what it removed was settled by a popped
+sibling.
 
 Each solve builds one _Search, which holds the settings, the deadline,
 the current component's upper bound, forbidden list and memo, and what
@@ -90,9 +90,9 @@ from .graph import (
 from .heuristics import EliminationOrder, best_upper_bound
 from .reduction import _reduce_masks
 
-# The memo takes no new states once it holds this many.  A full table
-# takes about 19 MiB at n = 80 and 50 MiB at n = 1,000 (CPython 3.11),
-# so it stays within 64 MiB for graphs of up to about 1,200 vertices.
+# The memo takes no new vertex sets once it holds this many.  A full set
+# takes about 17 MiB at n = 80 and 48 MiB at n = 1,000 (CPython 3.11),
+# so it stays within 64 MiB for graphs of up to about 1,500 vertices.
 MEMO_STATES = 1 << 18
 
 __all__ = [
@@ -136,20 +136,18 @@ class SearchState:
     """One node of the search tree.
 
     graph is what remains after eliminating prefix; g is the width of the
-    prefix on the original graph and h a lower bound on the width of the
-    rest.  Any completion of this state costs at least f; f also inherits
-    the parent's f, which keeps it non-decreasing along a path even when
-    h drops, so f >= max(g, h) with equality except after such a drop.
-    last is the most recently eliminated vertex (branching or forced) and
-    last_neighborhood its neighborhood mask at elimination time.
+    prefix on the original graph.  Any completion of this state costs at
+    least f, the larger of g, a lower bound on the width of the rest and
+    the parent's f; inheriting the parent's f keeps it non-decreasing
+    along a path.  last_neighborhood is the neighborhood mask of the most
+    recently eliminated vertex (branching or forced) at elimination time,
+    0 at the root.
     """
 
     graph: Graph
     prefix: tuple[int, ...]
     g: int
-    h: int
     f: int
-    last: int | None = None
     last_neighborhood: int = 0
 
 
@@ -260,7 +258,7 @@ def prune_fill_subset(candidates: list[int], g: Graph) -> list[int]:
     return keep
 
 
-def _bound(search, graph, prefix, g, f, h_pre, last, last_nb):
+def _bound(search, graph, prefix, g, f, h_pre, last_nb):
     """Shrink a state by the forced rules and bound it; None once f >= search.ub.
 
     graph is what remains after prefix, of width g; f is the bound the
@@ -286,11 +284,11 @@ def _bound(search, graph, prefix, g, f, h_pre, last, last_nb):
         h = state_lower_bound(graph, cap=ub) if len(graph) >= 2 else 0
     if forced:
         prefix += tuple(v for v, _ in forced)
-        last, last_nb = forced[-1]
+        last_nb = forced[-1][1]
     f = max(f, g, h)
     if f >= ub:
         return None
-    return SearchState(graph, prefix, g, h, f, last, last_nb)
+    return SearchState(graph, prefix, g, f, last_nb)
 
 
 def _make_children(search, s: SearchState):
@@ -310,18 +308,18 @@ def _make_children(search, s: SearchState):
     order, so among children of equal f the one the forced rules shrank
     most is explored first.  closed holds the same pair data for
     candidates discarded because their bound already reached ub or whose
-    vertex set search.memo holds with a g no larger than theirs; both are
-    as concluded as an explored sibling for forbidden-list purposes.  A
-    candidate whose elimination degree or the state's g reaches ub, or
-    whose child's vertex set the memo covers, is closed before its child
-    is built or bounded.  A built child that its bound or the memo closes
-    is stored in the memo with its vertex set before the forced rules.
+    vertex set is in search.memo; both are as concluded as an explored
+    sibling for forbidden-list purposes.  A candidate whose elimination
+    degree or the state's g reaches ub, or whose child's vertex set is in
+    the memo, is closed before its child is built or bounded.  A built
+    child that its bound or the memo closes is stored in the memo with
+    its vertex set before the forced rules.
     """
     cfg, forb, ub, memo = search.cfg, search.forb, search.ub, search.memo
     g = s.graph
     active = g.active_mask
     cand_mask = active
-    if cfg.successor_restriction and s.last is not None:
+    if cfg.successor_restriction:
         cand_mask = active & ~s.last_neighborhood or active
     cands = list(bits(cand_mask))
     if cfg.prune_sibling_order and forb:
@@ -343,19 +341,16 @@ def _make_children(search, s: SearchState):
             closed.append((v, nbv))
             continue
         key = active & ~(1 << v)
-        seen = memo.get(key)
-        if seen is not None and seen <= gv:
-            # the memo covers the child's vertex set: close it unbuilt
+        if key in memo:
+            # the child's vertex set is dead: close it unbuilt
             closed.append((v, nbv))
             continue
         child = g.eliminate(v)
         h_pre = state_lower_bound(child, cap=ub)
-        state = _bound(search, child, s.prefix + (v,), gv, s.f, h_pre, v, nbv)
-        if state is not None:
-            seen = memo.get(state.graph.active_mask)
-            if seen is None or seen > state.g:
-                children.append((v, nbv, state))
-                continue
+        state = _bound(search, child, s.prefix + (v,), gv, s.f, h_pre, nbv)
+        if state is not None and state.graph.active_mask not in memo:
+            children.append((v, nbv, state))
+            continue
         search.remember(key, gv)
         closed.append((v, nbv))
     children.sort(key=lambda t: (t[2].f, len(t[2].graph), t[0]))
@@ -390,12 +385,12 @@ class _Search:
     """One solve: its settings, its deadline and what it has found so far.
 
     ub, forb and memo belong to the component being searched: its best
-    width so far, its forbidden list (see _make_children) and its table
-    of settled states, vertex-set mask -> smallest g (see the module
-    docstring).  nodes counts expansions over all components,
-    best holds each component's best (width, order) and trace the
-    improvements of the width over all of them.  Every state is bounded
-    by state_lower_bound, looked up at each call.
+    width so far, its forbidden list (see _make_children) and its set of
+    dead vertex-set masks (see the module docstring).  nodes counts
+    expansions over all components, best holds each component's best
+    (width, order) and trace the improvements of the width over all of
+    them.  Every state is bounded by state_lower_bound, looked up at each
+    call.
     """
 
     def __init__(self, cfg: SolverConfig, should_stop=None, on_improvement=None):
@@ -406,7 +401,7 @@ class _Search:
         self.on_improvement = on_improvement
         self.ub = 0
         self.forb: dict[int, list[int]] = {}
-        self.memo: dict[int, int] = {}
+        self.memo: set[int] = set()
         self.nodes = 0
         self.best: list[tuple[int, tuple[int, ...]]] = []
         self.trace: list[tuple[float, int]] = []
@@ -417,14 +412,9 @@ class _Search:
         return self.should_stop is not None and self.should_stop()
 
     def remember(self, key: int, g: int) -> None:
-        """Record in the memo that the vertex set key is settled from width g."""
-        memo = self.memo
-        seen = memo.get(key)
-        if seen is None:
-            if len(memo) < MEMO_STATES:
-                memo[key] = g
-        elif g < seen:
-            memo[key] = g
+        """Store the vertex set key, settled from width g, if g < ub makes it dead."""
+        if g < self.ub and len(self.memo) < MEMO_STATES:
+            self.memo.add(key)
 
     def width(self) -> int:
         return max((w for w, _ in self.best), default=0)
@@ -450,15 +440,15 @@ class _Search:
         """
         self.ub = self.best[i][0]
         self.forb = forb = {}
-        self.memo = {}
-        root = _bound(self, sub, (), 0, root_lb, root_lb, None, 0)
+        self.memo = set()
+        root = _bound(self, sub, (), 0, root_lb, root_lb, 0)
         if root is None:
             return self.ub
         lb = root.f
         # Each entry is (children left, undo-log mark, branch vertex, its
         # neighborhood, (vertex set, g) of the state it expanded or None).
         # Popping an entry pops every vertex logged since its mark off
-        # forb, records its state in the memo, then closes its branch
+        # forb, offers its state to the memo, then closes its branch
         # vertex in the parent.  The root is never recorded: popping it
         # ends the search.
         log: list[int] = []

@@ -264,8 +264,8 @@ def test_full_memo_takes_no_new_states(monkeypatch):
 
 
 def test_children_the_memo_covers_are_never_built(monkeypatch):
-    # a candidate whose child's vertex set the memo holds at a g no larger
-    # than the child's is closed before it is eliminated or bounded
+    # a candidate whose child's vertex set the memo holds is closed before
+    # it is eliminated or bounded
     parent = []
     hits = []
     make_children = solver._make_children
@@ -274,8 +274,7 @@ def test_children_the_memo_covers_are_never_built(monkeypatch):
 
     def covered(v):
         search, s, _ = parent[-1]
-        seen = search.memo.get(s.graph.active_mask & ~(1 << v))
-        return seen is not None and seen <= max(s.g, s.graph._adj[v].bit_count())
+        return s.graph.active_mask & ~(1 << v) in search.memo
 
     def spy_children(search, s):
         built = set()
@@ -338,9 +337,8 @@ def test_memo_hits_across_forced_edges_are_sound(monkeypatch):
     def note(graph):
         graphs.setdefault(graph.active_mask, set()).add(graph)
 
-    def hit(search, graph, g):
-        seen = search.memo.get(graph.active_mask)
-        if seen is not None and seen <= g and graph not in graphs[graph.active_mask]:
+    def hit(search, graph):
+        if graph.active_mask in search.memo and graph not in graphs[graph.active_mask]:
             hits[search.cfg] += 1
 
     def spy_children(search, s):
@@ -350,9 +348,8 @@ def test_memo_hits_across_forced_edges_are_sound(monkeypatch):
         try:
             made = make_children(search, s)
             for v, nbv in made[1] if made else ():
-                gv = max(s.g, nbv.bit_count())
-                if v not in built and gv < search.ub:
-                    hit(search, eliminate(s.graph, v), gv)
+                if v not in built and max(s.g, nbv.bit_count()) < search.ub:
+                    hit(search, eliminate(s.graph, v))
             return made
         finally:
             parent.pop()
@@ -367,7 +364,7 @@ def test_memo_hits_across_forced_edges_are_sound(monkeypatch):
     def spy_bound(search, *args):
         state = bound(search, *args)
         if state is not None and parent:
-            hit(search, state.graph, state.g)
+            hit(search, state.graph)
         return state
 
     monkeypatch.setattr(solver, "_make_children", spy_children)
@@ -382,6 +379,45 @@ def test_memo_hits_across_forced_edges_are_sound(monkeypatch):
             assert r.optimal and r.best_width == want
             check_report(g, r)
     assert all(hits.values()) and len(hits) == 2
+
+
+def test_memo_holds_only_dead_vertex_sets(monkeypatch):
+    # A vertex set is stored only when the graph it leaves has no order
+    # narrower than the best width.  Eliminating every vertex outside the
+    # set from the input leaves that graph, forced edges aside, so its
+    # treewidth is at least the component's final width.  Without the
+    # forced rules, states are popped at g >= ub, and the third draw of
+    # seed 26 stores a set that is not dead unless remember checks g < ub.
+    memos = []
+    search_component = solver._Search.search_component
+
+    def spy(search, i, sub, root_lb):
+        lb = search_component(search, i, sub, root_lb)
+        memos.append((search.memo, search.ub))
+        return lb
+
+    monkeypatch.setattr(solver._Search, "search_component", spy)
+    rng = random.Random(26)
+    both = (SolverConfig(), SolverConfig(prune_sibling_order=False))
+    cases = [(g, both) for g in forced_edge_family()]
+    cases += [(random_graph(rng, 12, 14), (*both, SolverConfig(reductions=False))) for _ in range(3)]
+    checked = 0
+    for g, cfgs in cases:
+        widths = {}
+        for cfg in cfgs:
+            memos.clear()
+            assert solve(g, cfg).optimal
+            for memo, width in memos:
+                for key in memo:
+                    if key not in widths:
+                        rest = g
+                        for v in g.vertices:
+                            if not (key >> v) & 1:
+                                rest = rest.eliminate(v)
+                        widths[key] = exact_treewidth(rest).treewidth
+                    assert widths[key] >= width
+                    checked += 1
+    assert checked
 
 
 def test_a_stop_cuts_min_fill_short():
@@ -524,16 +560,16 @@ def test_improvement_callback():
 def test_expand_requires_two_vertices():
     for g in (Graph(0, []), Graph(1, [])):
         with pytest.raises(GraphError):
-            expand(SearchState(g, (), 0, 0, 0), 10, SolverConfig())
+            expand(SearchState(g, (), 0, 0), 10, SolverConfig())
 
 
 def test_expand_plain_children():
-    kids = expand(SearchState(cycle(5), (), 0, 0, 0), 10, ALL_OFF)
+    kids = expand(SearchState(cycle(5), (), 0, 0), 10, ALL_OFF)
     assert [k.prefix for k in kids] == [(0,), (1,), (2,), (3,), (4,)]
     # expand ignores cfg.time_limit
     no_time = replace(ALL_OFF, time_limit=0.0)
-    assert expand(SearchState(cycle(5), (), 0, 0, 0), 10, no_time) == kids
-    assert all((k.g, k.h, k.f) == (2, 2, 2) for k in kids)
+    assert expand(SearchState(cycle(5), (), 0, 0), 10, no_time) == kids
+    assert all((k.g, k.f) == (2, 2) for k in kids)
     fs = [k.f for k in kids]
     assert fs == sorted(fs)
 
@@ -543,14 +579,14 @@ def test_expand_breaks_f_ties_by_vertices_left():
     # while every other child reduces to the empty graph at the same f
     edges = [(0, 1), (0, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6)]
     g = Graph(7, edges + [(3, 4), (3, 6), (4, 5), (5, 6)])
-    kids = expand(SearchState(g, (), 0, 0, 0), 10, SolverConfig())
+    kids = expand(SearchState(g, (), 0, 0), 10, SolverConfig())
     assert [k.f for k in kids] == [4] * 5
     assert [(k.prefix[0], len(k.graph)) for k in kids] == [(1, 0), (2, 0), (3, 0), (5, 0), (0, 6)]
 
 
 def test_expand_bounds_out_children():
     # ub equal to every child's bound leaves nothing to explore
-    assert expand(SearchState(cycle(5), (), 0, 0, 0), 2, ALL_OFF) == []
+    assert expand(SearchState(cycle(5), (), 0, 0), 2, ALL_OFF) == []
 
 
 def test_expand_successor_restriction():
@@ -562,11 +598,11 @@ def test_expand_successor_restriction():
         prune_fill_subset=False,
     )
     g = complete_bipartite(2, 3)
-    s = SearchState(g.eliminate(2), (2,), 2, 2, 2, last=2, last_neighborhood=g._adj[2])
+    s = SearchState(g.eliminate(2), (2,), 2, 2, last_neighborhood=g._adj[2])
     assert [k.prefix for k in expand(s, 10, cfg)] == [(2, 3), (2, 4)]
     # when every remaining vertex neighbored the last one, all are allowed
     k4 = clique(4)
-    s = SearchState(k4.eliminate(3), (3,), 3, 2, 3, last=3, last_neighborhood=k4._adj[3])
+    s = SearchState(k4.eliminate(3), (3,), 3, 3, last_neighborhood=k4._adj[3])
     assert [k.prefix for k in expand(s, 10, cfg)] == [(3, 0), (3, 1), (3, 2)]
 
 
@@ -574,7 +610,7 @@ def test_expand_applies_forced_eliminations():
     # eliminating the hub of a wheel leaves a cycle whose vertices all fall
     # to the degree rule once the running width licenses it
     hub = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)])
-    kids = expand(SearchState(hub, (), 0, 0, 0), 10, SolverConfig())
+    kids = expand(SearchState(hub, (), 0, 0), 10, SolverConfig())
     for k in kids:
         assert len(k.graph) == 0
         assert len(k.prefix) == 5
@@ -584,13 +620,13 @@ def test_prune_sibling_order_matches_snapshot():
     cfg = replace(ALL_OFF, prune_sibling_order=True)
     g = cycle(4)
     forbidden = {1: [g._adj[1]]}
-    kids = expand(SearchState(g, (), 0, 0, 0), 10, cfg, forbidden)
+    kids = expand(SearchState(g, (), 0, 0), 10, cfg, forbidden)
     assert [k.prefix for k in kids] == [(0,), (2,), (3,)]
     assert forbidden == {1: [g._adj[1]]}
     # the rule is off, or the neighborhood no longer matches the snapshot
-    kids = expand(SearchState(g, (), 0, 0, 0), 10, ALL_OFF, forbidden)
+    kids = expand(SearchState(g, (), 0, 0), 10, ALL_OFF, forbidden)
     assert [k.prefix for k in kids] == [(0,), (1,), (2,), (3,)]
-    changed = SearchState(Graph(g.n, g.edges() + [(1, 3)]), (), 0, 0, 0)
+    changed = SearchState(Graph(g.n, g.edges() + [(1, 3)]), (), 0, 0)
     kids = expand(changed, 10, cfg, forbidden)
     assert (1,) in [k.prefix for k in kids]
 
