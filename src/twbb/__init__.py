@@ -34,12 +34,9 @@ from .generators import (
 from .graph import Graph, GraphError, connected_components, width_of_order
 from .heuristics import EliminationOrder, best_upper_bound, min_fill_order
 from .oracle import OracleResult, exact_treewidth, exact_treewidth_permutations
-from .reduction import ReductionOutcome, reduce_state
 from .solver import (
     RunReport,
-    SearchState,
     SolverConfig,
-    expand,
     prune_fill_subset,
     prune_mutual_simplicial,
     solve,
@@ -55,9 +52,7 @@ __all__ = [
     "ParseError",
     "PartialKTreeSpec",
     "RandomGraphSpec",
-    "ReductionOutcome",
     "RunReport",
-    "SearchState",
     "SolverConfig",
     "TreeDecomposition",
     "ValidationReport",
@@ -66,7 +61,6 @@ __all__ = [
     "connected_components",
     "exact_treewidth",
     "exact_treewidth_permutations",
-    "expand",
     "gen_partial_ktree",
     "gen_random",
     "mcs_lb",
@@ -81,7 +75,6 @@ __all__ = [
     "prune_fill_subset",
     "prune_mutual_simplicial",
     "queen_graph",
-    "reduce_state",
     "solve",
     "validate_decomposition",
     "width_of_order",

@@ -214,7 +214,6 @@ def _cmd_bench(args) -> int:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tw", description="Exact anytime treewidth solver.")
-    parser.add_argument("-v", "--verbose", action="store_true", help="info-level logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="solve an instance exactly (anytime)")
@@ -279,7 +278,7 @@ def _build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
+    logging.basicConfig(level=logging.WARNING)
     try:
         return args.func(args)
     except (ParseError, GraphError, OSError) as exc:

@@ -137,10 +137,11 @@ def parse_pace_td(text: str) -> tuple[TreeDecomposition, int]:
                 raise ParseError(lineno, f"malformed solution header: {line!r}")
             if min(header) < 0:
                 raise ParseError(lineno, f"negative counts in header: {line!r}")
+            header_line = lineno
             continue
         if header is None:
             raise ParseError(lineno, "content before solution header")
-        num_bags, _max_bag, n = header
+        num_bags, _, n = header
         if parts[0] == "b":
             if len(parts) < 2:
                 raise ParseError(lineno, f"malformed bag line: {line!r}")
@@ -168,9 +169,12 @@ def parse_pace_td(text: str) -> tuple[TreeDecomposition, int]:
         edges.append((a - 1, b - 1))
     if header is None:
         raise ParseError(1, "missing solution header")
-    num_bags, _max_bag, n = header
+    num_bags, max_bag, n = header
     missing = [i for i in range(1, num_bags + 1) if i not in bags]
     if missing:
-        raise ParseError(1, f"bag {missing[0]} never defined")
+        raise ParseError(header_line, f"bag {missing[0]} never defined")
     ordered = tuple(bags[i] for i in range(1, num_bags + 1))
+    largest = max((len(b) for b in ordered), default=0)
+    if largest != max_bag:
+        raise ParseError(header_line, f"header max bag size {max_bag}, largest bag {largest}")
     return TreeDecomposition(ordered, tuple(edges)), n

@@ -14,42 +14,15 @@ Two sound rewrites shrink a state before it is branched on:
 Both preserve the state's optimal completion width, so a solver may apply
 them eagerly.  The forced-vertex test is ``graph.forced_in_masks``.
 ``_reduce_masks`` runs the two rules to a joint fixed point on scratch
-adjacency masks; the solver calls it directly on every child, and
-``reduce_state`` is the same fixed point on a Graph for the oracle
-cross-checks.  Each rule has one off-switch: ``reductions=False`` skips
-the eliminations and ``ub=None`` skips edge addition.
+adjacency masks; the solver calls it on every child, and the oracle
+cross-checks call it on a copy of a graph's masks.  Each rule has one
+off-switch: ``do_reductions=False`` skips the eliminations and
+``ub=None`` skips edge addition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graph import Graph, _eliminate_in_place, bits, forced_in_masks
-
-__all__ = ["ReductionOutcome", "reduce_state"]
-
-
-@dataclass(frozen=True)
-class ReductionOutcome:
-    """Result of reducing a state.
-
-    graph: the reduced graph.
-    forced_prefix: vertices eliminated, in application order; they extend
-        the partial elimination order of the state that was reduced.
-    g_value: the running width after folding in the degrees of the forced
-        eliminations (each at its elimination time).
-    edges_added: edges added by the common-neighbor rule, as (u, v) pairs
-        with u < v.  Endpoints may have been eliminated by a later round.
-    """
-
-    graph: Graph
-    forced_prefix: tuple[int, ...]
-    g_value: int
-    edges_added: frozenset[tuple[int, int]]
-
-    @property
-    def changed(self) -> bool:
-        return bool(self.forced_prefix or self.edges_added)
+from .graph import _eliminate_in_place, bits, forced_in_masks
 
 
 def _reduction_sweep(
@@ -115,9 +88,12 @@ def _reduce_masks(
 ) -> tuple[int, int, list[tuple[int, int]], list[tuple[int, int]]]:
     """Joint fixed point over scratch masks, updated in place.
 
-    Edge addition runs exactly when ub is not None.  Returns the new
-    active mask, the new g value, the forced eliminations as (vertex,
-    neighborhood mask at elimination) pairs, and the added edges.
+    Each elimination round gates the almost-simplicial rule on
+    max(lb, current g_value), since the running width is itself a valid
+    lower bound on the state's answer.  Edge addition runs exactly when
+    ub is not None.  Returns the new active mask, the new g value, the
+    forced eliminations as (vertex, neighborhood mask at elimination)
+    pairs, and the added edges.
     """
     forced: list[tuple[int, int]] = []
     added: list[tuple[int, int]] = []
@@ -129,29 +105,3 @@ def _reduce_masks(
         if not (grew and do_reductions):
             return active, g_value, forced, added
 
-
-def reduce_state(
-    g: Graph,
-    g_value: int = 0,
-    lb: int = 0,
-    ub: int | None = None,
-    *,
-    reductions: bool = True,
-) -> ReductionOutcome:
-    """Run forced eliminations and forced edge additions to a joint fixed point.
-
-    Each elimination round gates the almost-simplicial rule on
-    max(lb, current g_value), since the running width is itself a valid
-    lower bound on the state's answer.  Edge addition needs a known upper
-    bound; ub=None skips it, and reductions=False skips the eliminations.
-    """
-    adj = list(g._adj)
-    active, g_value, forced, added = _reduce_masks(
-        adj, g.active_mask, g_value, lb, ub, reductions
-    )
-    if not forced and not added:
-        return ReductionOutcome(g, (), g_value, frozenset())
-    reduced = Graph._from_masks(g.n, adj, active)
-    return ReductionOutcome(
-        reduced, tuple(v for v, _ in forced), g_value, frozenset(added)
-    )

@@ -75,7 +75,7 @@ leaving a node pops the log back to the mark it took on entry.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .bounds import minor_min_width as state_lower_bound
 from .graph import (
@@ -97,9 +97,7 @@ MEMO_STATES = 1 << 18
 
 __all__ = [
     "RunReport",
-    "SearchState",
     "SolverConfig",
-    "expand",
     "prune_fill_subset",
     "prune_mutual_simplicial",
     "solve",
@@ -355,30 +353,6 @@ def _make_children(search, s: SearchState):
         closed.append((v, nbv))
     children.sort(key=lambda t: (t[2].f, len(t[2].graph), t[0]))
     return children, closed
-
-
-def expand(
-    s: SearchState,
-    ub: int,
-    cfg: SolverConfig,
-    forbidden: dict[int, list[int]] | None = None,
-) -> list[SearchState]:
-    """Children of a state with all enabled rules applied.
-
-    They come in the order the search explores them: ascending by f,
-    then by the number of vertices left, then by branch vertex.
-
-    forbidden is a fixed forbidden list for the sibling-order rule, in
-    the engine's form: vertex -> neighborhood masks at which it is closed.
-    It is only read.  Each call starts with an empty memo, so the memo
-    closes no child here.  cfg.time_limit is ignored.
-    """
-    if len(s.graph) < 2:
-        raise GraphError("expand requires a state with at least two vertices")
-    search = _Search(replace(cfg, time_limit=None))
-    search.ub, search.forb = ub, forbidden or {}
-    children, _ = _make_children(search, s)
-    return [state for _, _, state in children]
 
 
 class _Search:

@@ -1,12 +1,14 @@
-"""Shared graph builders and plain graph references for the test suite.
+"""Shared graph builders, plain graph references and engine drivers.
 
 neighbors, adjacent, degree and fill_edges read a graph through
 g.edges() alone, so that they stay independent of the engine's masks.
+run_reductions drives the solver's own forced-rule fixed point.
 """
 
 import itertools
 
 from twbb import Graph
+from twbb.reduction import _reduce_masks
 
 
 def clique(n):
@@ -77,3 +79,13 @@ def fill_edges(g, v):
     edges = set(g.edges())
     nb = sorted(neighbors(g, v))
     return {e for e in itertools.combinations(nb, 2) if e not in edges}
+
+
+def run_reductions(g, g_value=0, lb=0, ub=None, reductions=True):
+    """The solver's forced rules on a copy of g's masks.
+
+    Returns (reduced graph, forced vertices in order, g value, added edges).
+    """
+    adj = list(g._adj)
+    active, g_value, forced, added = _reduce_masks(adj, g.active_mask, g_value, lb, ub, reductions)
+    return Graph._from_masks(g.n, adj, active), tuple(v for v, _ in forced), g_value, set(added)

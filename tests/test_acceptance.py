@@ -18,6 +18,7 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import run_reductions
 from twbb import (
     Graph,
     PartialKTreeSpec,
@@ -34,7 +35,6 @@ from twbb import (
     parse_dimacs_col,
     parse_pace_td,
     queen_graph,
-    reduce_state,
     solve,
     validate_decomposition,
     width_of_order,
@@ -320,15 +320,15 @@ def test_09_reductions_preserve_treewidth_on_sweep(sweep):
     for g, tw in sweep:
         lb = minor_min_width(g)
         ub = min_fill_order(g).width
-        out = reduce_state(g, lb=lb, ub=ub)
-        again = reduce_state(out.graph, g_value=out.g_value, lb=lb, ub=ub)
-        assert not again.changed, f"not a fixed point on {sorted(g.edges())}"
-        rest = exact_treewidth(out.graph).treewidth if len(out.graph) else 0
-        assert max(out.g_value, rest) == tw, (
-            f"answer changed: {max(out.g_value, rest)} != {tw} "
+        rest, forced, g_value, _ = run_reductions(g, lb=lb, ub=ub)
+        _, more, _, added = run_reductions(rest, g_value=g_value, lb=lb, ub=ub)
+        assert not (more or added), f"not a fixed point on {sorted(g.edges())}"
+        rest_tw = exact_treewidth(rest).treewidth if len(rest) else 0
+        assert max(g_value, rest_tw) == tw, (
+            f"answer changed: {max(g_value, rest_tw)} != {tw} "
             f"on n={g.n} edges={sorted(g.edges())}"
         )
-        reduced_away += len(out.forced_prefix)
+        reduced_away += len(forced)
     print(
         f"\nacceptance 9 PASS: fixed point and exact answer preservation on "
         f"{len(sweep)} graphs ({reduced_away} forced eliminations checked)"

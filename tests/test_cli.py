@@ -215,6 +215,7 @@ def test_usage_errors_exit_one(capsys):
         ["solve", "x", "--ub", "bogus"],
         ["solve", "x", "--ub", "min-fill"],
         ["solve", "x", "--lb", "mmw"],
+        ["-v", "solve", "x"],
     )
     for args in usage_errors:
         with pytest.raises(SystemExit) as info:

@@ -1,4 +1,4 @@
-"""Every exported name resolves, and the graph layer exports nothing unused."""
+"""Every exported name resolves, and the package defines nothing unused."""
 
 import ast
 import importlib
@@ -8,7 +8,9 @@ from pathlib import Path
 import twbb
 
 ROOT = Path(__file__).resolve().parent.parent
-GRAPH = ROOT / "src" / "twbb" / "graph.py"
+PACKAGE = ROOT / "src" / "twbb"
+# The brute-force reference the subset DP of exact_treewidth is tested against.
+EXEMPT = {("oracle", "exact_treewidth_permutations")}
 
 
 def test_every_exported_name_resolves():
@@ -41,26 +43,30 @@ def _referenced(node, skip=()):
     return out
 
 
-def test_graph_module_keeps_only_what_the_package_calls():
-    # The surface: public functions of twbb.graph and public methods and
-    # properties of Graph.  A member counts as called when package or
-    # benchmark code outside the surface names it, or when the body of a
-    # called member does.
-    graph = ast.parse(GRAPH.read_text())
-    cls = next(d for d in graph.body if isinstance(d, ast.ClassDef) and d.name == "Graph")
-    surface = {
-        d.name: d
-        for d in graph.body + cls.body
-        if isinstance(d, ast.FunctionDef) and not d.name.startswith("_")
-    }
-    used = _referenced(graph, skip=list(surface.values()))
-    for path in sorted((ROOT / "src" / "twbb").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
-        if path != GRAPH:
-            used |= _referenced(ast.parse(path.read_text()))
+def test_package_keeps_only_what_it_calls():
+    # The surface: public top-level functions and classes of every module
+    # in src/twbb, and the public methods and properties of public classes.
+    # A member counts as called when package or benchmark code outside the
+    # surface names it, or when the body of a called member does.
+    surface = {}
+    code = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        code.append(tree)
+        for d in tree.body:
+            if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not d.name.startswith("_"):
+                surface[(path.stem, d.name)] = d
+                if isinstance(d, ast.ClassDef):
+                    for m in d.body:
+                        if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
+                            surface[(path.stem, f"{d.name}.{m.name}")] = m
+    code += [ast.parse(path.read_text()) for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    used = set().union(*(_referenced(tree, skip=list(surface.values())) for tree in code))
     done = set()
-    while todo := (used & surface.keys()) - done:
-        for name in todo:
-            used |= _referenced(surface[name])
+    while todo := {k for k in surface if k[1].rpartition(".")[2] in used} - done:
+        for key in todo:
+            member = surface[key]
+            used |= _referenced(member, skip=[d for d in surface.values() if d is not member])
         done |= todo
-    unused = sorted(surface.keys() - used)
+    unused = sorted(name for _, name in surface.keys() - done - EXEMPT)
     assert not unused, f"nothing in src/twbb or perfbench calls {unused}"

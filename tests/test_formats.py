@@ -151,12 +151,20 @@ def test_td_empty_bag_round_trips():
         "s td 2 1 1\nb 1 1\nb 2 1\n1 3\n",
         "s td 1 1 1\nb 1 1\n1 2 3\n",
         "s td 2 1 1\nb 1 1\n",
+        "s td 1 2 1\nb 1 1\n",
         "",
     ],
 )
 def test_td_errors(text):
     with pytest.raises(ParseError):
         parse_pace_td(text)
+
+
+def test_td_header_checks_point_at_the_header():
+    for text in ("c note\ns td 2 1 1\nb 1 1\n", "c note\ns td 1 2 1\nb 1 1\n"):
+        with pytest.raises(ParseError) as info:
+            parse_pace_td(text)
+        assert info.value.line == 2
 
 
 def test_td_negative_header_counts():

@@ -20,10 +20,8 @@ from twbb import (
     GraphError,
     PartialKTreeSpec,
     RandomGraphSpec,
-    SearchState,
     SolverConfig,
     connected_components,
-    expand,
     gen_partial_ktree,
     gen_random,
     min_fill_order,
@@ -36,6 +34,7 @@ from twbb import (
     width_of_order,
 )
 from twbb import solver
+from twbb.solver import SearchState
 from twbb.oracle import exact_treewidth
 
 ALL_OFF = SolverConfig(
@@ -557,18 +556,21 @@ def test_improvement_callback():
         assert width_of_order(g, order) == w
 
 
-def test_expand_requires_two_vertices():
-    for g in (Graph(0, []), Graph(1, [])):
-        with pytest.raises(GraphError):
-            expand(SearchState(g, (), 0, 0), 10, SolverConfig())
+def expand(s, ub, cfg, forbidden=None):
+    """The children the search builds for s, in the order it explores them.
+
+    forbidden is the forbidden list in the engine's form; the memo starts
+    empty, so it closes no child.
+    """
+    search = solver._Search(cfg)
+    search.ub, search.forb = ub, forbidden or {}
+    children, _ = solver._make_children(search, s)
+    return [state for _, _, state in children]
 
 
 def test_expand_plain_children():
     kids = expand(SearchState(cycle(5), (), 0, 0), 10, ALL_OFF)
     assert [k.prefix for k in kids] == [(0,), (1,), (2,), (3,), (4,)]
-    # expand ignores cfg.time_limit
-    no_time = replace(ALL_OFF, time_limit=0.0)
-    assert expand(SearchState(cycle(5), (), 0, 0), 10, no_time) == kids
     assert all((k.g, k.f) == (2, 2) for k in kids)
     fs = [k.f for k in kids]
     assert fs == sorted(fs)
