@@ -177,11 +177,33 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _cmd_gen(args) -> int:
+def _add_families(parser, func) -> tuple[argparse.ArgumentParser, ...]:
+    """Add a subparser per generated family to parser, each running func.
+
+    Each sets args.family to its name and args.generate to its generator.
+    """
+    families = parser.add_subparsers(dest="family", required=True)
+    pr = families.add_parser("random")
+    pr.add_argument("--n", type=int, required=True)
+    pr.add_argument("--m", type=int, required=True)
+    pr.set_defaults(func=func, generate=gen_random)
+    pk = families.add_parser("pktree")
+    pk.add_argument("--n", type=int, required=True)
+    pk.add_argument("--k", type=int, required=True)
+    pk.add_argument("--p", type=int, default=0)
+    pk.set_defaults(func=func, generate=gen_partial_ktree)
+    return pr, pk
+
+
+def _family_spec(args, seed: int):
+    """The spec of the family named on the command line, with this seed."""
     if args.family == "random":
-        g = gen_random(RandomGraphSpec(args.n, args.m, args.seed))
-    else:
-        g = gen_partial_ktree(PartialKTreeSpec(args.n, args.k, args.p, args.seed))
+        return RandomGraphSpec(args.n, args.m, seed)
+    return PartialKTreeSpec(args.n, args.k, args.p, seed)
+
+
+def _cmd_gen(args) -> int:
+    g = args.generate(_family_spec(args, args.seed))
     text = write_pace_gr(g)
     if args.out:
         with open(args.out, "w") as fh:
@@ -192,10 +214,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.family == "random":
-        spec = RandomGraphSpec(args.n, args.m, 0)
-    else:
-        spec = PartialKTreeSpec(args.n, args.k, args.p, 0)
+    spec = _family_spec(args, 0)
     cfg = SolverConfig(time_limit=args.time_limit)
     records = list(run_family(spec, count=args.count, seed0=args.seed0, cfg=cfg))
     if args.format == "csv":
@@ -240,37 +259,17 @@ def _build_parser() -> _Parser:
     po.set_defaults(func=_cmd_oracle)
 
     pg = sub.add_parser("gen", help="generate an instance in PACE .gr form")
-    gsub = pg.add_subparsers(dest="family", required=True)
-    gr = gsub.add_parser("random")
-    gr.add_argument("--n", type=int, required=True)
-    gr.add_argument("--m", type=int, required=True)
-    gr.add_argument("--seed", type=int, default=0)
-    gr.add_argument("--out")
-    gr.set_defaults(func=_cmd_gen)
-    gk = gsub.add_parser("pktree")
-    gk.add_argument("--n", type=int, required=True)
-    gk.add_argument("--k", type=int, required=True)
-    gk.add_argument("--p", type=int, default=0)
-    gk.add_argument("--seed", type=int, default=0)
-    gk.add_argument("--out")
-    gk.set_defaults(func=_cmd_gen)
+    for family in _add_families(pg, _cmd_gen):
+        family.add_argument("--seed", type=int, default=0)
+        family.add_argument("--out")
 
     pn = sub.add_parser("bench", help="run a generated family and report records")
-    bsub = pn.add_subparsers(dest="family", required=True)
-    br = bsub.add_parser("random")
-    br.add_argument("--n", type=int, required=True)
-    br.add_argument("--m", type=int, required=True)
-    bk = bsub.add_parser("pktree")
-    bk.add_argument("--n", type=int, required=True)
-    bk.add_argument("--k", type=int, required=True)
-    bk.add_argument("--p", type=int, default=0)
-    for b in (br, bk):
-        b.add_argument("--count", type=int, default=30)
-        b.add_argument("--seed0", type=int, default=0)
-        b.add_argument("--time-limit", type=float, default=None)
-        b.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-        b.add_argument("--out")
-        b.set_defaults(func=_cmd_bench)
+    for family in _add_families(pn, _cmd_bench):
+        family.add_argument("--count", type=int, default=30)
+        family.add_argument("--seed0", type=int, default=0)
+        family.add_argument("--time-limit", type=float, default=None)
+        family.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+        family.add_argument("--out")
 
     return parser
 

@@ -15,7 +15,7 @@ from .graph import Graph, _eliminate_in_place, bits, fill_count_in_masks
 
 @dataclass(frozen=True)
 class EliminationOrder:
-    """A (possibly partial) elimination order with its cached width."""
+    """An elimination order of every active vertex, with its cached width."""
 
     vertices: tuple[int, ...]
     width: int

@@ -27,14 +27,16 @@ for Treewidth", AAAI 2007) is the set of dead vertex sets: sets whose
 remaining graph has no elimination order narrower than the current best
 width ub.  A candidate whose child's vertex set is in the memo is closed
 before its child is built, and a built child whose reduced vertex set is
-in it is closed like a child whose bound reached ub.  A state is settled
-when its stack entry is popped after all its children were explored, and
-the memo then takes its reduced vertex set if its g is below ub; a built
-child closed by its bound or by the memo is settled at once, and the
-memo takes its vertex set before the forced rules ran.  A search cut
-short by the deadline returns without popping, so no state whose subtree
-it cut is stored.  The memo takes no new sets once it holds MEMO_STATES
-of them.
+in it is closed like a child whose bound reached ub.
+
+Every finished branch is settled in one step (_Search.settle): its
+branch vertex is forbidden to its later siblings' subtrees, and its
+vertex set goes into the memo if the branch's g is below ub.  A branch
+finishes when it is closed, keyed by its vertex set before the forced
+rules, or when its stack entry is popped after all its children were
+explored, keyed by its reduced vertex set.  A search cut short by the
+deadline returns without popping, so no state whose subtree it cut is
+settled.  The memo takes no new sets once it holds MEMO_STATES of them.
 
 The key is the vertex set alone, although forced edge additions depend
 on the best width and on the path taken, so two visits to one set can
@@ -46,30 +48,27 @@ Hence an order of the set's vertices is narrower than ub on one graph
 exactly when it is on the other, with the same width, and the
 completions narrower than ub are the same on both graphs.
 
-Why the memo is sound: every stored vertex set is dead.  For a popped
-state, each rule that drops completions below it points somewhere
-already settled.  The bound drops only completions at least as wide as
-ub.  The forced rules, the successor restriction, mutual-simplicial and
-fill-subset keep a completion no wider than the ones they drop inside
-the state's own subtree, whose entries were all popped earlier.  The
-forbidden list and the memo point to subtrees that were settled earlier
-too.  A closed child has no completion narrower than ub after the forced
-rules, by its bound or by an earlier entry, and the forced rules keep
-the best completion below ub, so the child before them has none either.
-So induction over settling time shows that no completion of a settled
-state is narrower than ub.  A completion's width is the larger of the
-state's g and the width of its order of the remaining graph, so when g
-is below ub every such order is at least ub wide: the set is dead, and
-stays dead as ub only ever drops.  This covers states whose forbidden
-list removed candidates as well: what it removed was settled by a popped
-sibling.
+Why the memo is sound: no completion of a settled branch is narrower
+than ub, by induction over settling time.  The bound, which also closes
+a state popped unexpanded once ub dropped to its f, drops only
+completions at least as wide as ub.  The forced rules, the successor
+restriction, mutual-simplicial and fill-subset keep a completion no
+wider than the ones they drop inside the branch's own subtree, whose
+branches were all settled earlier; for a closed child the forced rules
+keep the best completion below ub, so what holds after them holds
+before.  The forbidden list and the memo point to branches settled
+earlier too.  A completion's width is the larger of the branch's g and
+the width of its order of the remaining graph, so when g is below ub
+every such order is at least ub wide: the set is dead, and stays dead as
+ub only ever drops.
 
 Each solve builds one _Search, which holds the settings, the deadline,
 the current component's upper bound, forbidden list and memo, and what
 has been found so far.  The depth-first search keeps an explicit stack
 rather than recursing, because its depth reaches the number of
-vertices.  Entries of the forbidden list are pushed on an undo log, and
-leaving a node pops the log back to the mark it took on entry.
+vertices.  Settling pushes the forbidden pair on an undo log, and
+popping a stack entry pops the log back to the mark it took before its
+state was expanded.
 """
 
 from __future__ import annotations
@@ -110,7 +109,7 @@ class SolverConfig:
 
     time_limit is in seconds, None for no limit.  The initial upper
     bound is always one min-fill run, and every state is bounded by
-    minor-min-width.  The table of fully explored states (see the module
+    minor-min-width.  The memo of dead vertex sets (see the module
     docstring) is always on: it only closes children that cannot beat the
     best width.
     """
@@ -292,79 +291,68 @@ def _bound(search, graph, prefix, g, f, h_pre, last_nb):
 def _make_children(search, s: SearchState):
     """Generate, filter, shrink and bound the children of a state.
 
-    search.forb is the forbidden list: it maps a vertex to the
-    neighborhood masks it had when an earlier sibling finished exploring
-    it.  Re-eliminating the vertex while its neighborhood still equals
-    one of them cannot lead anywhere new: nothing eliminated since
-    touched it, so it commutes with those eliminations.  A vertex
-    adjacent to the sibling never matches, because its neighborhood lost
-    the sibling.
+    search.forb is the forbidden list: the (vertex, neighborhood) pairs
+    of the branches settled so far below the states on the current path.
+    Re-eliminating a vertex while its neighborhood still equals the one
+    it was settled with cannot lead anywhere new: nothing eliminated
+    since touched it, so it commutes with those eliminations.  A vertex
+    adjacent to the settled one never matches, because its neighborhood
+    lost that vertex.
 
-    Returns (children, closed), or None when search.stop() fires before
-    a candidate.  children holds (branch-vertex, neighborhood-at-
-    elimination, state) tuples in ascending (f, vertices left, vertex)
-    order, so among children of equal f the one the forced rules shrank
-    most is explored first.  closed holds the same pair data for
-    candidates discarded because their bound already reached ub or whose
-    vertex set is in search.memo; both are as concluded as an explored
-    sibling for forbidden-list purposes.  A candidate whose elimination
-    degree or the state's g reaches ub, or whose child's vertex set is in
-    the memo, is closed before its child is built or bounded.  A built
-    child that its bound or the memo closes is stored in the memo with
-    its vertex set before the forced rules.
+    Returns the children, or None when search.stop() fires before a
+    candidate.  They are (branch vertex, neighborhood at elimination,
+    state) tuples in ascending (f, vertices left, vertex) order, so among
+    children of equal f the one the forced rules shrank most is explored
+    first.  Every other candidate is settled here (see _Search.settle):
+    one whose elimination degree or the state's g reaches ub, or whose
+    child's vertex set is in the memo, before its child is built or
+    bounded, and a built child that its bound or the memo closes, keyed
+    by its vertex set before the forced rules.
     """
     cfg, forb, ub, memo = search.cfg, search.forb, search.ub, search.memo
     g = s.graph
-    active = g.active_mask
+    adj, active = g._adj, g.active_mask
     cand_mask = active
     if cfg.successor_restriction:
         cand_mask = active & ~s.last_neighborhood or active
     cands = list(bits(cand_mask))
-    if cfg.prune_sibling_order and forb:
-        cands = [v for v in cands if g._adj[v] not in forb.get(v, ())]
+    if forb:
+        cands = [v for v in cands if (v, adj[v]) not in forb]
     if cfg.prune_mutual_simplicial and len(cands) > 1:
         cands = prune_mutual_simplicial(cands, g, s.f)
     if cfg.prune_fill_subset and len(cands) > 1:
         cands = prune_fill_subset(cands, g)
 
     children = []
-    closed = []
     for v in cands:
         if search.stop():
             return None
-        nbv = g._adj[v]
+        nbv = adj[v]
         gv = max(s.g, nbv.bit_count())
-        if gv >= ub:
-            # the child's width alone reaches ub: close it unbuilt
-            closed.append((v, nbv))
-            continue
         key = active & ~(1 << v)
-        if key in memo:
-            # the child's vertex set is dead: close it unbuilt
-            closed.append((v, nbv))
-            continue
-        child = g.eliminate(v)
-        h_pre = state_lower_bound(child, cap=ub)
-        state = _bound(search, child, s.prefix + (v,), gv, s.f, h_pre, nbv)
-        if state is not None and state.graph.active_mask not in memo:
-            children.append((v, nbv, state))
-            continue
-        search.remember(key, gv)
-        closed.append((v, nbv))
+        if gv < ub and key not in memo:
+            child = g.eliminate(v)
+            h_pre = state_lower_bound(child, cap=ub)
+            state = _bound(search, child, s.prefix + (v,), gv, s.f, h_pre, nbv)
+            if state is not None and state.graph.active_mask not in memo:
+                children.append((v, nbv, state))
+                continue
+        search.settle(v, nbv, key, gv)
     children.sort(key=lambda t: (t[2].f, len(t[2].graph), t[0]))
-    return children, closed
+    return children
 
 
 class _Search:
     """One solve: its settings, its deadline and what it has found so far.
 
-    ub, forb and memo belong to the component being searched: its best
-    width so far, its forbidden list (see _make_children) and its set of
-    dead vertex-set masks (see the module docstring).  nodes counts
-    expansions over all components, best holds each component's best
-    (width, order) and trace the improvements of the width over all of
-    them.  Every state is bounded by state_lower_bound, looked up at each
-    call.
+    ub, forb, log and memo belong to the component being searched: its
+    best width so far, its forbidden list (see _make_children), the undo
+    log of that list's pairs in the order they were added, and its set of
+    dead vertex-set masks (see the module docstring).  settle is the one
+    place that adds to the list and the memo.  nodes counts expansions
+    over all components, best holds each component's best (width, order)
+    and trace the improvements of the width over all of them.  Every
+    state is bounded by state_lower_bound, looked up at each call.
     """
 
     def __init__(self, cfg: SolverConfig, should_stop=None, on_improvement=None):
@@ -374,7 +362,8 @@ class _Search:
         self.should_stop = should_stop
         self.on_improvement = on_improvement
         self.ub = 0
-        self.forb: dict[int, list[int]] = {}
+        self.forb: set[tuple[int, int]] = set()
+        self.log: list[tuple[int, int]] = []
         self.memo: set[int] = set()
         self.nodes = 0
         self.best: list[tuple[int, tuple[int, ...]]] = []
@@ -385,8 +374,17 @@ class _Search:
             return True
         return self.should_stop is not None and self.should_stop()
 
-    def remember(self, key: int, g: int) -> None:
-        """Store the vertex set key, settled from width g, if g < ub makes it dead."""
+    def settle(self, v: int, nb: int, key: int, g: int) -> None:
+        """Settle a finished branch: v, eliminated with neighborhood nb.
+
+        The pair (v, nb) is forbidden, and logged so that leaving the
+        branch's parent lifts it; with prune_sibling_order off the list
+        stays empty.  key, the branch's vertex set, goes into the memo
+        when its width so far g is below ub, which makes it dead.
+        """
+        if self.cfg.prune_sibling_order:
+            self.forb.add((v, nb))
+            self.log.append((v, nb))
         if g < self.ub and len(self.memo) < MEMO_STATES:
             self.memo.add(key)
 
@@ -413,23 +411,20 @@ class _Search:
         the search short.
         """
         self.ub = self.best[i][0]
-        self.forb = forb = {}
-        self.memo = set()
+        self.forb, self.log, self.memo = set(), [], set()
         root = _bound(self, sub, (), 0, root_lb, root_lb, 0)
         if root is None:
             return self.ub
         lb = root.f
         # Each entry is (children left, undo-log mark, branch vertex, its
-        # neighborhood, (vertex set, g) of the state it expanded or None).
-        # Popping an entry pops every vertex logged since its mark off
-        # forb, offers its state to the memo, then closes its branch
-        # vertex in the parent.  The root is never recorded: popping it
-        # ends the search.
-        log: list[int] = []
-        stack = []
+        # neighborhood, the state it leads to).  The mark is the log's
+        # length before the state was expanded.  Popping an entry pops the
+        # log back to its mark, then settles its branch in the parent;
+        # popping the root ends the search.
+        forb, log, stack = self.forb, self.log, []
         v, nbv, s = None, 0, root
         while True:
-            children, closed, expanded = (), (), None
+            mark, children = len(log), ()
             if s.f < self.ub:
                 if self.stop():
                     return lb
@@ -439,29 +434,21 @@ class _Search:
                     self.best[i] = (s.g, s.prefix + tuple(s.graph.vertices))
                     self.emit()
                     if s.g <= lb:
-                        return s.g
+                        # nothing beats the root bound: unwind every entry
+                        stack.clear()
+                        mark = 0
                 else:
-                    made = _make_children(self, s)
-                    if made is None:
+                    children = _make_children(self, s)
+                    if children is None:
                         return lb
-                    children, closed = made
-                    if v is not None:
-                        expanded = (s.graph.active_mask, s.g)
-            stack.append((iter(children), len(log), v, nbv, expanded))
-            for c, cnb in closed:
-                forb.setdefault(c, []).append(cnb)
-                log.append(c)
-            while stack and (nxt := next(stack[-1][0], None)) is None:
-                _, mark, bv, bnb, done = stack.pop()
+            stack.append((iter(children), mark, v, nbv, s))
+            while (nxt := next(stack[-1][0], None)) is None:
+                _, mark, v, nbv, s = stack.pop()
                 while len(log) > mark:
-                    forb[log.pop()].pop()
-                if done is not None:
-                    self.remember(*done)
-                if stack:
-                    forb.setdefault(bv, []).append(bnb)
-                    log.append(bv)
-            if not stack:
-                return self.ub
+                    forb.remove(log.pop())
+                if not stack:
+                    return self.ub
+                self.settle(v, nbv, s.graph.active_mask, s.g)
             v, nbv, s = nxt
 
 
@@ -482,13 +469,13 @@ def solve(
     run, between branch candidates and at node boundaries.  A stop during
     min-fill finishes its order by minimum degree, and a component whose
     min-fill run starts after the stop is ordered by minimum degree from
-    the start.  Each component's root minor-min-width polls once per
-    contraction round too.  So a solve returns within the time limit
-    plus, for each component, one minimum-degree tail and one
-    contraction round, plus one bounded child.  A root bound cut short
-    keeps the degrees it recorded, at least the minimum degree, so a
-    solve stopped before its root bounds finish reports a weaker
-    proven_lb.
+    the start.  Each component's root minor-min-width runs before its
+    min-fill run and polls once per contraction round too.  So a solve
+    returns within the time limit plus, for each component, one
+    minimum-degree tail and one contraction round, plus one bounded
+    child.  A root bound cut short keeps the degrees it recorded, at
+    least the minimum degree, so only a solve stopped before a
+    component's root bound finishes reports a weaker proven_lb.
     Every solve that is not cut short is deterministic for a given
     configuration.
     """
@@ -496,9 +483,9 @@ def solve(
     subs = [g.induced(c) for c in connected_components(g)]
     lbs = []
     for sub in subs:
+        lbs.append(state_lower_bound(sub, stop=search.stop))
         order = best_upper_bound(sub, search.stop)
         search.best.append((order.width, order.vertices))
-        lbs.append(state_lower_bound(sub, stop=search.stop))
     search.emit()
     for i, sub in enumerate(subs):
         if search.stop():

@@ -268,6 +268,7 @@ def test_children_the_memo_covers_are_never_built(monkeypatch):
     parent = []
     hits = []
     make_children = solver._make_children
+    settle = solver._Search.settle
     eliminate = Graph.eliminate
     lower_bound = solver.state_lower_bound
 
@@ -276,18 +277,22 @@ def test_children_the_memo_covers_are_never_built(monkeypatch):
         return s.graph.active_mask & ~(1 << v) in search.memo
 
     def spy_children(search, s):
-        built = set()
-        parent.append((search, s, built))
+        parent.append((search, s, set()))
         try:
-            made = make_children(search, s)
-            for v, nbv in made[1] if made else ():
-                if v not in built and max(s.g, nbv.bit_count()) < search.ub:
-                    # closed unbuilt below ub, so the memo covered it
-                    assert covered(v)
-                    hits.append(v)
-            return made
+            return make_children(search, s)
         finally:
             parent.pop()
+
+    def spy_settle(search, v, nb, key, g):
+        # settled while its parent is expanded: a candidate closed
+        if parent:
+            _, s, built = parent[-1]
+            assert key == s.graph.active_mask & ~(1 << v)
+            if v not in built and g < search.ub:
+                # closed unbuilt below ub, so the memo covered it
+                assert covered(v)
+                hits.append(v)
+        settle(search, v, nb, key, g)
 
     def spy_eliminate(graph, v):
         if parent and graph is parent[-1][1].graph:
@@ -303,6 +308,7 @@ def test_children_the_memo_covers_are_never_built(monkeypatch):
         return lower_bound(graph, cap=cap, stop=stop)
 
     monkeypatch.setattr(solver, "_make_children", spy_children)
+    monkeypatch.setattr(solver._Search, "settle", spy_settle)
     monkeypatch.setattr(Graph, "eliminate", spy_eliminate)
     monkeypatch.setattr(solver, "state_lower_bound", spy_bound)
     for g, nodes, _ in PINNED:
@@ -323,13 +329,14 @@ def forced_edge_family():
 
 def test_memo_hits_across_forced_edges_are_sound(monkeypatch):
     # Every graph the memo can have stored under a vertex set is recorded:
-    # each expanded state and each built child.  A hit on a graph not
-    # recorded under its set differs from every stored one by forced
-    # edges alone, since the set fixes the rest of the graph.
+    # each built child, before and after the forced rules.  A hit on a
+    # graph not recorded under its set differs from every stored one by
+    # forced edges alone, since the set fixes the rest of the graph.
     graphs = {}
     parent = []
     hits = {}
     make_children = solver._make_children
+    settle = solver._Search.settle
     bound = solver._bound
     eliminate = Graph.eliminate
 
@@ -342,16 +349,22 @@ def test_memo_hits_across_forced_edges_are_sound(monkeypatch):
 
     def spy_children(search, s):
         note(s.graph)
-        built = set()
-        parent.append((s, built))
+        parent.append((s, set()))
         try:
-            made = make_children(search, s)
-            for v, nbv in made[1] if made else ():
-                if v not in built and max(s.g, nbv.bit_count()) < search.ub:
-                    hit(search, eliminate(s.graph, v))
-            return made
+            children = make_children(search, s)
         finally:
             parent.pop()
+        for _, _, state in children or ():
+            note(state.graph)
+        return children
+
+    def spy_settle(search, v, nb, key, g):
+        # settled while its parent is expanded: a candidate closed
+        if parent:
+            s, built = parent[-1]
+            if v not in built and g < search.ub:
+                hit(search, eliminate(s.graph, v))
+        settle(search, v, nb, key, g)
 
     def spy_eliminate(graph, v):
         child = eliminate(graph, v)
@@ -367,6 +380,7 @@ def test_memo_hits_across_forced_edges_are_sound(monkeypatch):
         return state
 
     monkeypatch.setattr(solver, "_make_children", spy_children)
+    monkeypatch.setattr(solver._Search, "settle", spy_settle)
     monkeypatch.setattr(solver, "_bound", spy_bound)
     monkeypatch.setattr(Graph, "eliminate", spy_eliminate)
     for g in forced_edge_family():
@@ -386,7 +400,7 @@ def test_memo_holds_only_dead_vertex_sets(monkeypatch):
     # set from the input leaves that graph, forced edges aside, so its
     # treewidth is at least the component's final width.  Without the
     # forced rules, states are popped at g >= ub, and the third draw of
-    # seed 26 stores a set that is not dead unless remember checks g < ub.
+    # seed 26 stores a set that is not dead unless settle checks g < ub.
     memos = []
     search_component = solver._Search.search_component
 
@@ -419,6 +433,93 @@ def test_memo_holds_only_dead_vertex_sets(monkeypatch):
     assert checked
 
 
+LEAF_AT_ROOT_BOUND = [
+    (0, 5), (0, 6), (0, 7), (0, 9), (0, 14), (1, 12), (1, 13), (2, 3), (2, 4), (2, 8), (2, 11),
+    (3, 4), (3, 12), (4, 6), (4, 7), (4, 8), (4, 11), (4, 13), (4, 15), (5, 6), (5, 7), (5, 13),
+    (6, 8), (6, 13), (7, 8), (7, 10), (7, 11), (7, 12), (7, 14), (8, 10), (8, 11), (9, 10),
+    (9, 11), (9, 12), (9, 13), (9, 15), (10, 12), (10, 15), (11, 15), (12, 14), (12, 15),
+    (13, 15), (14, 15),
+]
+
+
+def test_settling_keeps_the_forbidden_list_exact(monkeypatch):
+    # With the sibling rule on, settle never adds a pair that is already
+    # forbidden, popping a state takes the undo log back to its length
+    # when the state was expanded, and a search that is not stopped ends
+    # with an empty forbidden list.  With the rule off the list stays
+    # empty.
+    make_children = solver._make_children
+    settle = solver._Search.settle
+    search_component = solver._Search.search_component
+    branch = {}  # id of a child state -> (the state, its branch vertex)
+    path = []  # (state, branch vertex, log length) of each expanded state not yet popped
+    inside = []
+    counts = {"pops": 0, "settles": 0}
+
+    def spy_children(search, s):
+        assert search.forb == set(search.log) and len(search.forb) == len(search.log)
+        state, v = branch.get(id(s), (None, None))
+        path.append((s, v if state is s else None, len(search.log)))
+        inside.append(s)
+        try:
+            children = make_children(search, s)
+        finally:
+            inside.pop()
+        for v, _, state in children or ():
+            branch[id(state)] = (state, v)
+        return children
+
+    def spy_settle(search, v, nb, key, g):
+        if not search.cfg.prune_sibling_order:
+            assert not search.forb and not search.log
+        assert (v, nb) not in search.forb
+        s, bv, mark = path[-1]
+        if not inside and (bv, s.graph.active_mask) == (v, key):
+            # the last expanded state is popped
+            assert len(search.log) == mark
+            path.pop()
+            counts["pops"] += 1
+        counts["settles"] += 1
+        settle(search, v, nb, key, g)
+
+    def spy_component(search, i, sub, root_lb):
+        path.clear()
+        lb = search_component(search, i, sub, root_lb)
+        assert not search.forb and not search.log
+        return lb
+
+    monkeypatch.setattr(solver, "_make_children", spy_children)
+    monkeypatch.setattr(solver._Search, "settle", spy_settle)
+    monkeypatch.setattr(solver._Search, "search_component", spy_component)
+    graphs = [g for g, _, _ in PINNED] + list(forced_edge_family())
+    graphs.append(disjoint_union(petersen(), gen_random(RandomGraphSpec(25, 50, 6))))
+    # min-fill gives 7 here; the first leaf meets the root bound 6 after
+    # three of the root's candidates were settled, which ends the search
+    graphs.append(Graph(16, LEAF_AT_ROOT_BOUND))
+    for g in graphs:
+        for cfg in (SolverConfig(), SolverConfig(prune_sibling_order=False)):
+            assert solve(g, cfg).optimal
+    assert counts["pops"] and counts["settles"] > counts["pops"]
+
+
+def test_root_bounds_run_before_min_fill(monkeypatch):
+    # a stop that fires once min-fill starts leaves the root bound whole
+    g = gen_random(RandomGraphSpec(80, 1200, seed=0))
+    started = []
+    upper_bound = solver.best_upper_bound
+
+    def spy(sub, stop=None):
+        started.append(sub)
+        return upper_bound(sub, stop)
+
+    monkeypatch.setattr(solver, "best_upper_bound", spy)
+    r = solve(g, should_stop=lambda: bool(started))
+    assert len(started) == 1 and r.nodes_expanded == 0 and not r.optimal
+    # cut at its first contraction round, the bound would read 19
+    assert r.proven_lb == minor_min_width(g) == 32
+    check_report(g, r)
+
+
 def test_a_stop_cuts_min_fill_short():
     # finishing min-fill here takes seconds; the stop is polled once per
     # elimination and a minimum-degree tail finishes the order
@@ -433,13 +534,18 @@ def test_a_stop_cuts_min_fill_short():
 
         return stop, polls
 
-    stop, polls = stop_after(5)
+    # the root bound runs first; count its polls with a stop that never fires
+    root = []
+    lb = minor_min_width(g, stop=lambda: root.append(None))
+    stop, polls = stop_after(len(root) + 30)
     r = solve(g, should_stop=stop)
-    # six polls in min-fill, one in the root bound's first contraction
-    # round, one before the search
-    assert len(polls) == 8
-    assert r.nodes_expanded == 0 and not r.optimal
-    assert r.best_order.vertices == min_fill_order(g, stop_after(5)[0]).vertices
+    # the root bound's polls, 31 in min-fill, one before the search
+    assert len(polls) == len(root) + 32
+    assert r.nodes_expanded == 0 and not r.optimal and r.proven_lb == lb
+    assert r.best_order.vertices == min_fill_order(g, stop_after(30)[0]).vertices
+    # after 30 eliminations min-fill's order is not the minimum-degree
+    # one, which it still is after 20
+    assert r.best_order.vertices != min_fill_order(g, lambda: True).vertices
     assert width_of_order(g, r.best_order.vertices) == r.best_width
     check_report(g, r)
 
@@ -556,16 +662,23 @@ def test_improvement_callback():
         assert width_of_order(g, order) == w
 
 
-def expand(s, ub, cfg, forbidden=None):
+def searcher(ub, cfg, settled=()):
+    """A search at best width ub that has settled the (vertex,
+    neighborhood) pairs in settled; its memo is empty."""
+    search = solver._Search(cfg)
+    search.ub = ub
+    for v, nb in settled:
+        search.settle(v, nb, 0, ub)
+    return search
+
+
+def expand(s, ub, cfg, settled=()):
     """The children the search builds for s, in the order it explores them.
 
-    forbidden is the forbidden list in the engine's form; the memo starts
-    empty, so it closes no child.
+    settled lists the (vertex, neighborhood) pairs of the branches settled
+    before s is expanded; the memo starts empty, so it closes no child.
     """
-    search = solver._Search(cfg)
-    search.ub, search.forb = ub, forbidden or {}
-    children, _ = solver._make_children(search, s)
-    return [state for _, _, state in children]
+    return [state for _, _, state in solver._make_children(searcher(ub, cfg, settled), s)]
 
 
 def test_expand_plain_children():
@@ -621,15 +734,16 @@ def test_expand_applies_forced_eliminations():
 def test_prune_sibling_order_matches_snapshot():
     cfg = replace(ALL_OFF, prune_sibling_order=True)
     g = cycle(4)
-    forbidden = {1: [g._adj[1]]}
-    kids = expand(SearchState(g, (), 0, 0), 10, cfg, forbidden)
-    assert [k.prefix for k in kids] == [(0,), (2,), (3,)]
-    assert forbidden == {1: [g._adj[1]]}
+    settled = [(1, g._adj[1])]
+    search = searcher(10, cfg, settled)
+    kids = solver._make_children(search, SearchState(g, (), 0, 0))
+    assert [k.prefix for _, _, k in kids] == [(0,), (2,), (3,)]
+    assert search.forb == set(settled)
     # the rule is off, or the neighborhood no longer matches the snapshot
-    kids = expand(SearchState(g, (), 0, 0), 10, ALL_OFF, forbidden)
+    kids = expand(SearchState(g, (), 0, 0), 10, ALL_OFF, settled)
     assert [k.prefix for k in kids] == [(0,), (1,), (2,), (3,)]
     changed = SearchState(Graph(g.n, g.edges() + [(1, 3)]), (), 0, 0)
-    kids = expand(changed, 10, cfg, forbidden)
+    kids = expand(changed, 10, cfg, settled)
     assert (1,) in [k.prefix for k in kids]
 
 
