@@ -128,12 +128,19 @@ def clique_in_masks(adj: list[int], vertices_mask: int) -> bool:
 
 
 def fill_count_in_masks(adj: list[int], v: int) -> int:
-    """Number of fill edges eliminating v would create in ``adj``."""
+    """Number of fill edges eliminating v would create in ``adj``.
+
+    Each neighbor counts the neighbors it misses, itself included, so the
+    sum counts every missing pair twice and every neighbor once.
+    """
     nb = adj[v]
     missing = 0
-    for u in bits(nb):
-        missing += (nb & ~adj[u] & ~(1 << u)).bit_count()
-    return missing // 2
+    rest = nb
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        missing += (nb & ~adj[low.bit_length() - 1]).bit_count()
+    return (missing - nb.bit_count()) // 2
 
 
 def fill_touched_in_masks(adj: list[int], v: int) -> int:

@@ -2,7 +2,10 @@
 
 Min-fill repeatedly eliminates the vertex whose elimination adds the
 fewest edges, ties going to the lowest vertex id, so the order is a
-deterministic function of the graph.  A solve's deadline can cut the run
+deterministic function of the graph.  Every fill count is computed once
+and then updated by the change each elimination makes to it, so a step
+costs time in its neighborhood and the fill edges it adds, not in a
+recount of every vertex within distance two of it.  A solve's deadline can cut the run
 short, and then a minimum-degree tail finishes the order.
 """
 
@@ -24,7 +27,17 @@ class EliminationOrder:
 def min_fill_order(g: Graph, stop=None) -> EliminationOrder:
     """Greedy order minimizing fill at each step; ties go to the lowest id.
 
-    Fill counts are cached and recomputed only near the eliminated vertex.
+    Fill counts are computed once, then updated from the masks as they are
+    just before each elimination.  With N the neighbors of the eliminated
+    vertex v, three terms change them, and no other count changes:
+
+    - for each fill edge {a, b}, every common neighbor x != v of a and b
+      has one missing pair fewer, inside N or outside it;
+    - each x in N loses the missing pairs {v, y} for y in out, the
+      neighbors of x outside N and other than v;
+    - each x in N gains, for each new neighbor a in N - N[x], the pairs
+      {a, y} with y in out not adjacent to a.
+
     stop, when given, is polled once per elimination: before the fill
     counts are first computed, then after each elimination but the last.
     Once it returns true the rest of the order is finished by minimum
@@ -37,26 +50,51 @@ def min_fill_order(g: Graph, stop=None) -> EliminationOrder:
     order = []
     width = 0
     if stop is None or not stop():
-        fill = [0] * g.n
+        # An inactive vertex holds n * n, above every fill count, so the
+        # first minimum is the lowest-id active vertex of least fill.
+        done = g.n * g.n
+        fill = [done] * g.n
         for v in bits(active):
             fill[v] = fill_count_in_masks(adj, v)
         while active:
-            v = min(bits(active), key=fill.__getitem__)
+            v = fill.index(min(fill))
+            bv = 1 << v
             nb = adj[v]
             width = max(width, nb.bit_count())
+            # The three terms, from the masks before the elimination.
+            rest = nb
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                x = low.bit_length() - 1
+                row = adj[x] & ~bv
+                # The fill edges {x, b} with b > x: each takes 1 from
+                # every common neighbor of x and b but v.
+                miss = rest & ~row
+                while miss:
+                    high = miss & -miss
+                    miss ^= high
+                    common = row & adj[high.bit_length() - 1]
+                    while common:
+                        lc = common & -common
+                        common ^= lc
+                        fill[lc.bit_length() - 1] -= 1
+                # The change to x's own count is 0 when out is empty.
+                out = row & ~nb
+                if out:
+                    f = fill[x] - out.bit_count()
+                    new = nb & ~row & ~low
+                    while new:
+                        la = new & -new
+                        new ^= la
+                        f += (out & ~adj[la.bit_length() - 1]).bit_count()
+                    fill[x] = f
             _eliminate_in_place(adj, v)
-            active &= ~(1 << v)
+            fill[v] = done
+            active &= ~bv
             order.append(v)
             if not active or (stop is not None and stop()):
                 break
-            # Fill counts can only change for the old neighbors and for
-            # vertices adjacent to a newly added edge, all of which now
-            # neighbor some old neighbor of v.
-            affected = nb
-            for a in bits(nb):
-                affected |= adj[a]
-            for x in bits(affected & active):
-                fill[x] = fill_count_in_masks(adj, x)
     # The minimum-degree tail.  bucket[d] masks the active vertices of
     # degree d, so the lowest set bit of the lowest non-empty bucket is the
     # lowest-id vertex of minimum degree, and lo never exceeds that degree.

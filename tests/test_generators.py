@@ -145,7 +145,13 @@ def test_bench_mf_width_is_the_min_fill_width():
     for i, r in enumerate(run_family(spec, count=4)):
         g = gen_random(RandomGraphSpec(12, 9, i))
         assert r.mf_width == min_fill_order(g).width
-    # run_family reads the solve's first trace entry, here over four
+    # a zero deadline stops the solve's min-fill run before it starts, and
+    # there its first solution, a minimum-degree order, is wider
+    spec = RandomGraphSpec(40, 200)
+    for i, r in enumerate(run_family(spec, count=2, cfg=SolverConfig(time_limit=0))):
+        g = gen_random(RandomGraphSpec(40, 200, i))
+        assert r.mf_width == min_fill_order(g).width < r.best_width
+    # the solve's first trace entry is its min-fill width, here over four
     # components, one of them an isolated vertex
     g = disjoint_union(
         mycielski(cycle(5)), cycle(5), Graph(1, []), gen_random(RandomGraphSpec(9, 16, seed=554))

@@ -1,9 +1,18 @@
 """Upper-bound heuristic: the min-fill order."""
 
+import itertools
 import random
 
 from conftest import clique, complete_bipartite, cycle, degree, fill_edges, grid, path, star
-from twbb import Graph, best_upper_bound, min_fill_order, mycielski, width_of_order
+from twbb import (
+    Graph,
+    PartialKTreeSpec,
+    best_upper_bound,
+    gen_partial_ktree,
+    min_fill_order,
+    mycielski,
+    width_of_order,
+)
 from twbb.oracle import exact_treewidth
 
 
@@ -99,3 +108,25 @@ def test_minimum_degree_tail_matches_a_full_scan():
             o = min_fill_order(g, stop)
             assert o.vertices == reference_order(g, k)
             assert width_of_order(g, o.vertices) == o.width
+
+
+def test_min_fill_matches_a_full_scan():
+    # the counts are updated by delta after each elimination; a full scan
+    # recounts every fill from the graph's edges
+    graphs = []
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            graphs.append(Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1]))
+    rng = random.Random(19)
+    for n in range(2, 31):
+        pairs = list(itertools.combinations(range(n), 2))
+        for m in sorted({len(pairs) * i // 8 for i in range(9)}):
+            graphs.append(Graph(n, rng.sample(pairs, m)))
+    for seed in range(12):
+        spec = PartialKTreeSpec(rng.randint(12, 40), rng.randint(2, 10), rng.randint(0, 60), seed)
+        graphs.append(gen_partial_ktree(spec))
+    for g in graphs:
+        o = min_fill_order(g)
+        assert o.vertices == reference_order(g, g.n)
+        assert width_of_order(g, o.vertices) == o.width
