@@ -24,6 +24,7 @@ from .bounds import mcs_lb, mcs_lb_max, minor_min_width, minwidth_lb
 from .decomposition import build_decomposition, validate_decomposition
 from .formats import (
     ParseError,
+    _content_lines,
     parse_dimacs_col,
     parse_pace_gr,
     write_pace_gr,
@@ -31,7 +32,7 @@ from .formats import (
 )
 from .generators import gen_partial_ktree, gen_random
 from .graph import GraphError
-from .oracle import exact_treewidth
+from .oracle import DEFAULT_DP_LIMIT, exact_treewidth
 from .solver import SolverConfig, solve
 
 # tw solve without flags runs the library's default configuration.
@@ -66,23 +67,30 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_graph(path: str):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+    """The graph in path (- for stdin): .col is DIMACS, .gr is PACE, else the header decides."""
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line, f"{path} is not UTF-8 text") from None
     if path.endswith(".col"):
         return parse_dimacs_col(text)
-    if path.endswith(".gr"):
+    if path.endswith(".gr") or next(_content_lines(text), (0, "", []))[1].startswith("p tw"):
         return parse_pace_gr(text)
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p tw"):
-            return parse_pace_gr(text)
-        break
     return parse_dimacs_col(text)
+
+
+def _write(text: str, path: str | None) -> None:
+    """Write text to the file at path, or to stdout when there is no path."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _solver_config(args) -> SolverConfig:
@@ -107,8 +115,7 @@ def _cmd_solve(args) -> int:
         if not check:
             print(f"internal error: invalid decomposition: {check.problem}", file=sys.stderr)
             return 1
-        with open(args.td, "w") as fh:
-            fh.write(write_pace_td(td, g.n))
+        _write(write_pace_td(td, g.n), args.td)
     if args.json:
         payload = {
             "file": args.file,
@@ -203,13 +210,7 @@ def _family_spec(args, seed: int):
 
 
 def _cmd_gen(args) -> int:
-    g = args.generate(_family_spec(args, args.seed))
-    text = write_pace_gr(g)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(write_pace_gr(args.generate(_family_spec(args, args.seed))), args.out)
     return 0
 
 
@@ -219,15 +220,10 @@ def _cmd_bench(args) -> int:
     records = list(run_family(spec, count=args.count, seed0=args.seed0, cfg=cfg))
     if args.format == "csv":
         text = records_to_csv(records)
-        agg = aggregate(records)
-        print(json.dumps({"aggregate": agg}), file=sys.stderr)
+        print(json.dumps({"aggregate": aggregate(records)}), file=sys.stderr)
     else:
         text = records_to_jsonl(records)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     return 0
 
 
@@ -254,7 +250,7 @@ def _build_parser() -> _Parser:
 
     po = sub.add_parser("oracle", help="exact treewidth by dynamic programming (small n)")
     po.add_argument("file")
-    po.add_argument("--limit", type=int, default=14, help="max vertex count accepted")
+    po.add_argument("--limit", type=int, default=DEFAULT_DP_LIMIT, help="max vertex count accepted")
     po.add_argument("--json", action="store_true")
     po.set_defaults(func=_cmd_oracle)
 

@@ -9,6 +9,7 @@ All formats are 1-indexed on disk; graphs in memory are 0-indexed.
 from __future__ import annotations
 
 import logging
+import sys
 
 from .decomposition import TreeDecomposition
 from .graph import Graph
@@ -33,26 +34,44 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _parse_graph(text: str, fmt_tokens: tuple[str, ...], edge_prefix: str | None) -> Graph:
+def _content_lines(text: str):
+    """Yield (line number, line, tokens) for each line that is neither blank nor a comment."""
+    for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1):
+        if line and line[0] != "c":
+            yield lineno, line, line.split()
+
+
+def _ints(lineno: int, line: str, tokens: list[str], problem: str) -> list[int]:
+    """The tokens of a line as integers; any other token is a ParseError naming the problem."""
+    try:
+        return [int(x) for x in tokens]
+    except ValueError:
+        raise ParseError(lineno, f"{problem}: {line!r}") from None
+
+
+def _header(lineno, line, parts, seen, name, kinds, size) -> list[int]:
+    """The counts of a file's one header line: size tokens, the second one in kinds.
+
+    seen says whether a header came before; name is the header's name in messages.
+    """
+    if seen:
+        raise ParseError(lineno, f"duplicate {name} header")
+    if len(parts) != size or parts[1] not in kinds:
+        raise ParseError(lineno, f"malformed {name} header: {line!r}")
+    counts = _ints(lineno, line, parts[2:], f"malformed {name} header")
+    if min(counts) < 0:
+        raise ParseError(lineno, f"negative counts in header: {line!r}")
+    return counts
+
+
+def _parse_graph(text: str, kinds: tuple[str, ...], edge_prefix: str | None) -> Graph:
     n = None
-    declared_m = None
     edges = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for lineno, line, parts in _content_lines(text):
         if parts[0] == "p":
-            if n is not None:
-                raise ParseError(lineno, "duplicate problem header")
-            if len(parts) != 4 or parts[1] not in fmt_tokens:
-                raise ParseError(lineno, f"malformed problem header: {line!r}")
-            try:
-                n, declared_m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError(lineno, f"malformed problem header: {line!r}")
-            if n < 0 or declared_m < 0:
-                raise ParseError(lineno, f"negative counts in header: {line!r}")
+            n, declared_m = _header(lineno, line, parts, n is not None, "problem", kinds, 4)
+            if n > sys.maxsize:
+                raise ParseError(lineno, f"vertex count too large: {line!r}")
             continue
         if edge_prefix is not None:
             if parts[0] != edge_prefix:
@@ -121,22 +140,9 @@ def parse_pace_td(text: str) -> tuple[TreeDecomposition, int]:
     header = None
     bags: dict[int, frozenset[int]] = {}
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for lineno, line, parts in _content_lines(text):
         if parts[0] == "s":
-            if header is not None:
-                raise ParseError(lineno, "duplicate solution header")
-            if len(parts) != 5 or parts[1] != "td":
-                raise ParseError(lineno, f"malformed solution header: {line!r}")
-            try:
-                header = tuple(int(x) for x in parts[2:])
-            except ValueError:
-                raise ParseError(lineno, f"malformed solution header: {line!r}")
-            if min(header) < 0:
-                raise ParseError(lineno, f"negative counts in header: {line!r}")
+            header = _header(lineno, line, parts, header is not None, "solution", ("td",), 5)
             header_line = lineno
             continue
         if header is None:
@@ -145,11 +151,7 @@ def parse_pace_td(text: str) -> tuple[TreeDecomposition, int]:
         if parts[0] == "b":
             if len(parts) < 2:
                 raise ParseError(lineno, f"malformed bag line: {line!r}")
-            try:
-                bag_id = int(parts[1])
-                inside = [int(x) for x in parts[2:]]
-            except ValueError:
-                raise ParseError(lineno, f"malformed bag line: {line!r}")
+            bag_id, *inside = _ints(lineno, line, parts[1:], "malformed bag line")
             if not (1 <= bag_id <= num_bags):
                 raise ParseError(lineno, f"bag id out of range: {bag_id}")
             if bag_id in bags:
@@ -160,19 +162,17 @@ def parse_pace_td(text: str) -> tuple[TreeDecomposition, int]:
             continue
         if len(parts) != 2:
             raise ParseError(lineno, f"expected a tree edge line, got: {line!r}")
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(lineno, f"non-integer bag id: {line!r}")
+        a, b = _ints(lineno, line, parts, "non-integer bag id")
         if not (1 <= a <= num_bags and 1 <= b <= num_bags):
             raise ParseError(lineno, f"tree edge out of range: {line!r}")
         edges.append((a - 1, b - 1))
     if header is None:
         raise ParseError(1, "missing solution header")
     num_bags, max_bag, n = header
-    missing = [i for i in range(1, num_bags + 1) if i not in bags]
-    if missing:
-        raise ParseError(header_line, f"bag {missing[0]} never defined")
+    if len(bags) < num_bags:
+        # bag ids are distinct and in range, so one of the first len(bags) + 1 is missing
+        missing = next(i for i in range(1, len(bags) + 2) if i not in bags)
+        raise ParseError(header_line, f"bag {missing} never defined")
     ordered = tuple(bags[i] for i in range(1, num_bags + 1))
     largest = max((len(b) for b in ordered), default=0)
     if largest != max_bag:

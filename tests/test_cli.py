@@ -205,6 +205,15 @@ def test_error_exits(tmp_path, capsys):
     assert "self-loop" in capsys.readouterr().err
     assert main(["gen", "random", "--n", "4", "--m", "99"]) == 1
     assert "error:" in capsys.readouterr().err
+    # input that cannot be read is an error, not a traceback
+    raw = tmp_path / "raw.gr"
+    raw.write_bytes(b"c ok\n\xff\xfe\x00p tw 3 2\n")
+    assert main(["solve", str(raw)]) == 1
+    assert f"error: line 2: {raw} is not UTF-8 text" in capsys.readouterr().err
+    big = tmp_path / "big.gr"
+    big.write_text("p tw 99999999999999999999 0\n")
+    assert main(["solve", str(big)]) == 1
+    assert "error: line 1: vertex count too large" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_one(capsys):

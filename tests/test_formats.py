@@ -70,6 +70,7 @@ def test_parse_gr():
         ("p foo 2 1\ne 1 2\n", 1),
         ("p edge -1 0\n", 1),
         ("p edge 2 1\nx 1 2\n", 2),
+        ("p edge 99999999999999999999 0\n", 1),
     ],
 )
 def test_col_errors(text, lineno):
@@ -80,10 +81,16 @@ def test_col_errors(text, lineno):
 
 
 def test_gr_errors():
-    with pytest.raises(ParseError):
-        parse_pace_gr("p tw 3 2\n1 2 3\n")
-    with pytest.raises(ParseError):
-        parse_pace_gr("p edge 3 2\n1 2\n")
+    cases = (
+        ("p tw 3 2\n1 2 3\n", 2),
+        ("p edge 3 2\n1 2\n", 1),
+        # a vertex count that no list can hold
+        ("c big\np tw 99999999999999999999 0\n", 2),
+    )
+    for text, lineno in cases:
+        with pytest.raises(ParseError) as info:
+            parse_pace_gr(text)
+        assert info.value.line == lineno
 
 
 def test_gr_round_trip():
@@ -138,26 +145,40 @@ def test_td_empty_bag_round_trips():
     assert back == td and n == 1
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "b 1 1\ns td 1 1 1\n",
-        "s td 1 1 1\ns td 1 1 1\nb 1 1\n",
-        "s td x 1 1\nb 1 1\n",
-        "s td 1 1\nb 1 1\n",
-        "s td 1 1 1\nb 1 1\nb 1 1\n",
-        "s td 1 1 1\nb 2 1\n",
-        "s td 1 1 1\nb 1 5\n",
-        "s td 2 1 1\nb 1 1\nb 2 1\n1 3\n",
-        "s td 1 1 1\nb 1 1\n1 2 3\n",
-        "s td 2 1 1\nb 1 1\n",
-        "s td 1 2 1\nb 1 1\n",
-        "",
-    ],
-)
-def test_td_errors(text):
-    with pytest.raises(ParseError):
+TD_ERRORS = [
+    ("b 1 1\ns td 1 1 1\n", 1),
+    ("s td 1 1 1\ns td 1 1 1\nb 1 1\n", 2),
+    ("s td x 1 1\nb 1 1\n", 1),
+    ("s td 1 1\nb 1 1\n", 1),
+    ("s td 1 1 1\nb 1 1\nb 1 1\n", 3),
+    ("s td 1 1 1\nb 2 1\n", 2),
+    ("s td 1 1 1\nb 1 5\n", 2),
+    ("s td 2 1 1\nb 1 1\nb 2 1\n1 3\n", 4),
+    ("s td 1 1 1\nb 1 1\n1 2 3\n", 3),
+    ("s td 2 1 1\nb 1 1\n", 1),
+    ("s td 1 2 1\nb 1 1\n", 1),
+    ("", 1),
+]
+
+
+@pytest.mark.parametrize("text,lineno", TD_ERRORS, ids=[text for text, _ in TD_ERRORS])
+def test_td_errors(text, lineno):
+    with pytest.raises(ParseError) as info:
         parse_pace_td(text)
+    assert info.value.line == lineno
+    assert f"line {lineno}:" in str(info.value)
+
+
+def test_td_missing_bag_costs_what_the_file_holds():
+    # a header may declare far more bags than the file holds
+    cases = (
+        ("s td 1000000000000 0 0\n", 1),
+        ("s td 1000000000000 1 1\nb 1 1\nb 2\n", 3),
+        ("s td 4 1 1\nb 4 1\nb 1\nb 2\n", 3),
+    )
+    for text, missing in cases:
+        with pytest.raises(ParseError, match=f"^line 1: bag {missing} never defined$"):
+            parse_pace_td(text)
 
 
 def test_td_header_checks_point_at_the_header():
