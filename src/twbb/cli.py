@@ -8,6 +8,7 @@ returns its best-so-far without proof, 1 for any error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -227,6 +228,7 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tw", description="Exact anytime treewidth solver.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -278,6 +280,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ParseError, GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

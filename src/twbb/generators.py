@@ -8,6 +8,7 @@ graph on any platform.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -56,10 +57,23 @@ class PartialKTreeSpec:
 
 
 def gen_random(spec: RandomGraphSpec) -> Graph:
-    """Uniform random graph; connectivity is not enforced."""
+    """Uniform random graph; connectivity is not enforced.
+
+    Samples m ranks into the lexicographic list of vertex pairs and
+    unranks each one in closed form, so it draws the same graph as
+    sampling that list, without building it.  Row i holds the pairs
+    (i, j), j > i, and the q = n - 2 - i rows after it hold q(q + 1) / 2
+    pairs; rank k lies in the row whose q is the largest with
+    q(q + 1) / 2 <= total - 1 - k.
+    """
     rng = random.Random(spec.seed)
-    pairs = list(itertools.combinations(range(spec.n), 2))
-    return Graph(spec.n, rng.sample(pairs, spec.m))
+    n = spec.n
+    total = n * (n - 1) // 2
+    edges = []
+    for k in rng.sample(range(total), spec.m):
+        i = n - 2 - (math.isqrt(8 * (total - 1 - k) + 1) - 1) // 2
+        edges.append((i, k + 1 - i * (2 * n - i - 3) // 2))
+    return Graph(n, edges)
 
 
 def gen_partial_ktree(spec: PartialKTreeSpec) -> Graph:

@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from conftest import cycle
@@ -144,6 +148,11 @@ def test_bounds_reports_the_starts_tried(tmp_path, capsys):
     assert "best of 9 starts: 3" in capsys.readouterr().out
 
 
+def test_bounds_needs_a_start(c5_gr, capsys):
+    assert main(["bounds", c5_gr, "--mcs-restarts", "0"]) == 1
+    assert "error: restarts must be at least 1" in capsys.readouterr().err
+
+
 def test_oracle(c5_gr, capsys):
     assert main(["oracle", c5_gr]) == 0
     assert "treewidth 2" in capsys.readouterr().out
@@ -214,6 +223,39 @@ def test_error_exits(tmp_path, capsys):
     big.write_text("p tw 99999999999999999999 0\n")
     assert main(["solve", str(big)]) == 1
     assert "error: line 1: vertex count too large" in capsys.readouterr().err
+
+
+def test_a_graph_too_large_to_hold_is_an_error(tmp_path):
+    # Graph allocates one mask per declared vertex before the first edge
+    # is read: 8 GB here.  The child caps its own address space first,
+    # so the allocation fails at once instead of filling memory.
+    resource = pytest.importorskip("resource")
+    limit = 1500 * 2**20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    p = tmp_path / "huge.gr"
+    p.write_text("p tw 1000000000 0\n")
+    pkg_root = str(Path(twbb.__file__).parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twbb.cli", "solve", str(p)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=cap,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "error: out of memory\n"
+
+
+def test_main_builds_its_parser_once(c5_gr, capsys):
+    assert main(["oracle", c5_gr]) == 0
+    parser = twbb.cli._build_parser()
+    assert main(["solve", c5_gr]) == 0
+    assert twbb.cli._build_parser() is parser
 
 
 def test_usage_errors_exit_one(capsys):

@@ -152,6 +152,7 @@ TD_ERRORS = [
     ("s td 1 1\nb 1 1\n", 1),
     ("s td 1 1 1\nb 1 1\nb 1 1\n", 3),
     ("s td 1 1 1\nb 2 1\n", 2),
+    ("s td 1 1 1\nb\n", 2),
     ("s td 1 1 1\nb 1 5\n", 2),
     ("s td 2 1 1\nb 1 1\nb 2 1\n1 3\n", 4),
     ("s td 1 1 1\nb 1 1\n1 2 3\n", 3),

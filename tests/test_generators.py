@@ -2,7 +2,9 @@
 
 import csv
 import io
+import itertools
 import json
+import random
 
 import pytest
 from conftest import clique, cycle, degree, disjoint_union
@@ -43,6 +45,18 @@ def test_gen_random_counts_and_determinism():
     assert gen_random(RandomGraphSpec(20, 35, seed=8)) != g
     assert gen_random(RandomGraphSpec(4, 6)) == clique(4)
     assert gen_random(RandomGraphSpec(3, 0)).num_edges() == 0
+
+
+def test_gen_random_draws_what_sampling_the_pair_list_draws():
+    # the reference samples the lexicographic pair list itself; sparse and
+    # dense draws take both of random.sample's selection methods
+    for n in range(60):
+        pairs = list(itertools.combinations(range(n), 2))
+        for density in (0.0, 0.05, 0.3, 0.7, 1.0):
+            m = int(len(pairs) * density)
+            for seed in range(3):
+                want = Graph(n, random.Random(seed).sample(pairs, m))
+                assert gen_random(RandomGraphSpec(n, m, seed)) == want
 
 
 def test_random_spec_validation():

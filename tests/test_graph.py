@@ -23,6 +23,8 @@ def random_graph_strategy(max_n=9):
 
 
 def test_constructor_rejects_bad_edges():
+    with pytest.raises(GraphError, match="vertex count must be nonnegative"):
+        Graph(-1)
     with pytest.raises(GraphError):
         Graph(3, [(0, 3)])
     with pytest.raises(GraphError):

@@ -2,7 +2,7 @@
 
 import random
 
-from conftest import adjacent, clique, complete_bipartite, cycle, run_reductions, star
+from conftest import adjacent, clique, complete_bipartite, cycle, disjoint_union, run_reductions, star
 from twbb import Graph, minor_min_width
 from twbb.heuristics import min_fill_order
 from twbb.oracle import exact_treewidth
@@ -52,6 +52,10 @@ def test_running_width_widens_the_gate():
     # already proves the answer is >= 2, which frees the degree-2 rule
     rest, _, g_value, _ = run_reductions(cycle(6), g_value=2, lb=0)
     assert len(rest) == 0 and g_value == 2
+    # the gate widens mid-call too: eliminating the clique raises g to 4,
+    # which frees the cycle's degree-2 vertices in the same call
+    rest, forced, g_value, _ = run_reductions(disjoint_union(clique(5), cycle(6)), lb=1)
+    assert forced == tuple(range(11)) and len(rest) == 0 and g_value == 4
 
 
 def test_edge_addition_bipartite():

@@ -550,6 +550,32 @@ def test_a_stop_cuts_min_fill_short():
     check_report(g, r)
 
 
+def test_a_stop_at_a_node_boundary_ends_the_search(monkeypatch):
+    # the search polls between an expansion's candidates and once before
+    # each node; stop on the poll just before the second node
+    g = queen_graph(5)
+    polls, ends = [], []
+    make_children = solver._make_children
+
+    def spy(search, s):
+        children = make_children(search, s)
+        ends.append(len(polls))
+        return children
+
+    monkeypatch.setattr(solver, "_make_children", spy)
+    solve(g, should_stop=lambda: polls.append(None))
+    first = ends[0]
+    polls.clear()
+    ends.clear()
+    r = solve(g, should_stop=lambda: polls.append(None) or len(polls) > first)
+    assert ends == [first] and len(polls) == first + 1
+    assert r.nodes_expanded == 1 and not r.optimal
+    assert width_of_order(g, r.best_order.vertices) == r.best_width
+    # queen5_5 has treewidth 18
+    assert minor_min_width(g) <= r.proven_lb <= 18
+    check_report(g, r)
+
+
 def test_matches_oracle_on_random_graphs():
     rng = random.Random(21)
     for _ in range(40):
