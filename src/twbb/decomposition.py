@@ -5,12 +5,14 @@ eliminate along the order, take one bag per vertex (the vertex plus its
 neighbors when it is eliminated), and hang each bag on the bag of the
 earliest of those neighbors.  ``validate_decomposition`` checks the
 result independently and is used to vouch for every decomposition this
-package emits.
+package emits.  It searches no graph: one union-find pass over the tree
+edges finds a cycle, and each vertex's bags form a subtree exactly when
+one fewer tree edge than it has bags joins two of them.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
 
 from .graph import Graph, _eliminate_in_place, bits, check_permutation
@@ -90,7 +92,6 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> ValidationReport:
             return ValidationReport(False, "tree_edges given but there are no bags")
     else:
         seen = set()
-        tree_adj: list[list[int]] = [[] for _ in range(nb)]
         for a, b in edges:
             if not (0 <= a < nb and 0 <= b < nb) or a == b:
                 return ValidationReport(
@@ -100,23 +101,25 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> ValidationReport:
             if key in seen:
                 return ValidationReport(False, f"duplicate tree edge {key}")
             seen.add(key)
-            tree_adj[a].append(b)
-            tree_adj[b].append(a)
         if len(edges) != nb - 1:
             return ValidationReport(
                 False,
                 f"tree_edges do not form a tree: {len(edges)} edges for {nb} bags",
             )
-        reached = {0}
-        queue = deque([0])
-        while queue:
-            a = queue.popleft()
-            for b in tree_adj[a]:
-                if b not in reached:
-                    reached.add(b)
-                    queue.append(b)
-        if len(reached) != nb:
-            return ValidationReport(False, "tree_edges do not form a connected tree")
+        # nb - 1 edges form a tree exactly when none closes a cycle
+        up = list(range(nb))
+
+        def root(a: int) -> int:
+            while up[a] != a:
+                up[a] = up[up[a]]
+                a = up[a]
+            return a
+
+        for a, b in edges:
+            a, b = root(a), root(b)
+            if a == b:
+                return ValidationReport(False, "tree_edges do not form a connected tree")
+            up[a] = b
 
     active = set(g.vertices)
     for i, bag in enumerate(bags):
@@ -137,18 +140,11 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> ValidationReport:
         if not (in_bags[u] & in_bags[v]):
             return ValidationReport(False, f"edge ({u}, {v}) is not inside any bag")
 
+    # in a tree, the k bags holding v are connected exactly when k - 1
+    # tree edges join two of them
+    joined = Counter(v for a, b in edges for v in bags[a] & bags[b])
     for v in g.vertices:
-        nodes = in_bags[v]
-        start = next(iter(nodes))
-        reached = {start}
-        queue = deque([start])
-        while queue:
-            a = queue.popleft()
-            for b in tree_adj[a]:
-                if b in nodes and b not in reached:
-                    reached.add(b)
-                    queue.append(b)
-        if reached != nodes:
+        if joined[v] != len(in_bags[v]) - 1:
             return ValidationReport(
                 False, f"bags containing vertex {v} do not form a connected subtree"
             )

@@ -81,10 +81,7 @@ def _parse_graph(text: str, kinds: tuple[str, ...], edge_prefix: str | None) -> 
             raise ParseError(lineno, f"expected an edge line, got: {line!r}")
         if n is None:
             raise ParseError(lineno, "edge line before problem header")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(lineno, f"non-integer endpoint: {line!r}")
+        u, v = _ints(lineno, line, parts, "non-integer endpoint")
         if not (1 <= u <= n and 1 <= v <= n):
             raise ParseError(lineno, f"endpoint out of range 1..{n}: {line!r}")
         if u == v:

@@ -1,11 +1,13 @@
 """Undirected graphs with stable integer ids and an explicit active set.
 
-Vertices are ids 0..n-1 over a fixed universe of size n.  Operations that
-remove vertices (elimination, induced subgraphs) deactivate ids; they
-never renumber, so an id means the same vertex at every depth of a
-search.  Adjacency is stored as one bitmask per vertex, which keeps
-neighborhood intersections cheap.  All public operations return new Graph
-objects; nothing mutates a graph a caller can see.
+Vertices are ids 0..n-1 over a fixed universe of size n.  Elimination
+deactivates an id and never renumbers, so an id means the same vertex at
+every depth of a search.  Only connected_components renumbers: it gives
+each component as a graph of its own on ids 0..k-1, in the order of the
+ids it stands for, so that a component costs its own size.  Adjacency
+is stored as one bitmask per vertex, which keeps neighborhood
+intersections cheap.  All public operations return new Graph objects;
+nothing mutates a graph a caller can see.
 """
 
 from __future__ import annotations
@@ -87,15 +89,6 @@ class Graph:
         adj = list(self._adj)
         _eliminate_in_place(adj, v)
         return Graph._from_masks(self.n, adj, self._active & ~(1 << v))
-
-    def induced(self, vertices: Iterable[int]) -> "Graph":
-        """Subgraph induced on the given active vertices, keeping ids."""
-        keep = 0
-        for v in vertices:
-            self._require_active(v)
-            keep |= 1 << v
-        adj = [self._adj[v] & keep if (keep >> v) & 1 else 0 for v in range(self.n)]
-        return Graph._from_masks(self.n, adj, keep)
 
     # -- value semantics -----------------------------------------------
 
@@ -224,8 +217,14 @@ def width_of_order(g: Graph, order: Sequence[int]) -> int:
     return width
 
 
-def connected_components(g: Graph) -> list[set[int]]:
-    """Vertex sets of g's connected components, by ascending smallest member."""
+def connected_components(g: Graph) -> list[tuple[tuple[int, ...], Graph]]:
+    """g's connected components, by ascending smallest member.
+
+    Each is (ids, sub): the component's ids in ascending order, and the
+    component as a graph on ids 0..k-1, where id i stands for ids[i].  The
+    relabelling keeps the ids' order, so lowest-id ties break alike on
+    both.  A component of consecutive ids keeps its masks, shifted down.
+    """
     remaining = g.active_mask
     comps = []
     adj = g._adj
@@ -239,6 +238,13 @@ def connected_components(g: Graph) -> list[set[int]]:
                 grow |= adj[v]
             frontier = grow & remaining & ~comp
             comp |= frontier
-        comps.append(set(bits(comp)))
         remaining &= ~comp
+        ids = tuple(bits(comp))
+        k, lo = len(ids), ids[0]
+        if comp == ((1 << k) - 1) << lo:
+            masks = [adj[v] >> lo for v in ids]
+        else:
+            pos = {v: i for i, v in enumerate(ids)}
+            masks = [sum(1 << pos[u] for u in bits(adj[v])) for v in ids]
+        comps.append((ids, Graph._from_masks(k, masks, (1 << k) - 1)))
     return comps

@@ -351,8 +351,10 @@ class _Search:
     dead vertex-set masks (see the module docstring).  settle is the one
     place that adds to the list and the memo.  nodes counts expansions
     over all components, best holds each component's best (width, order)
-    and trace the improvements of the width over all of them.  Every
-    state is bounded by state_lower_bound, looked up at each call.
+    on the component's own ids, ids the input graph's ids they stand for
+    (see connected_components), and trace the improvements of the width
+    over all of them.  Every state is bounded by state_lower_bound, looked
+    up at each call.
     """
 
     def __init__(self, cfg: SolverConfig, should_stop=None, on_improvement=None):
@@ -367,6 +369,7 @@ class _Search:
         self.memo: set[int] = set()
         self.nodes = 0
         self.best: list[tuple[int, tuple[int, ...]]] = []
+        self.ids: list[tuple[int, ...]] = []
         self.trace: list[tuple[float, int]] = []
 
     def stop(self) -> bool:
@@ -392,7 +395,7 @@ class _Search:
         return max((w for w, _ in self.best), default=0)
 
     def order(self) -> tuple[int, ...]:
-        return tuple(v for _, vs in self.best for v in vs)
+        return tuple(ids[v] for ids, (_, vs) in zip(self.ids, self.best) for v in vs)
 
     def emit(self):
         """Record the width over all components if it dropped."""
@@ -461,9 +464,12 @@ def solve(
     """Find the treewidth of g, anytime.
 
     Runs per connected component, reporting the max width, the summed
-    node count and one merged improvement trace.  on_improvement(elapsed,
-    width, order) is called synchronously for the initial heuristic
-    solution and every improvement.  The search stops once
+    node count and one merged improvement trace.  Each component is
+    solved as a graph on its own ids 0..k-1 (see connected_components),
+    so it costs its own size, not g's; its orders are mapped back to g's
+    ids before on_improvement and the report see them.
+    on_improvement(elapsed, width, order) is called synchronously for the
+    initial heuristic solution and every improvement.  The search stops once
     cfg.time_limit seconds have passed or should_stop() returns true;
     both are checked once per elimination of each component's min-fill
     run, between branch candidates and at node boundaries.  A stop during
@@ -480,14 +486,15 @@ def solve(
     configuration.
     """
     search = _Search(cfg or SolverConfig(), should_stop, on_improvement)
-    subs = [g.induced(c) for c in connected_components(g)]
+    comps = connected_components(g)
     lbs = []
-    for sub in subs:
+    for ids, sub in comps:
         lbs.append(state_lower_bound(sub, stop=search.stop))
         order = best_upper_bound(sub, search.stop)
         search.best.append((order.width, order.vertices))
+        search.ids.append(ids)
     search.emit()
-    for i, sub in enumerate(subs):
+    for i, (_, sub) in enumerate(comps):
         if search.stop():
             break
         lbs[i] = search.search_component(i, sub, lbs[i])

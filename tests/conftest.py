@@ -2,7 +2,8 @@
 
 neighbors, adjacent, degree and fill_edges read a graph through
 g.edges() alone, so that they stay independent of the engine's masks.
-run_reductions drives the solver's own forced-rule fixed point.
+induced keeps a graph's ids and deactivates the rest.  run_reductions
+drives the solver's own forced-rule fixed point.
 """
 
 import itertools
@@ -60,6 +61,16 @@ def disjoint_union(*graphs):
         edges.extend((u + offset, v + offset) for u, v in g.edges())
         offset += g.n
     return Graph(offset, edges)
+
+
+def induced(g, vertices):
+    """The subgraph of g on the given active vertices, keeping g's ids."""
+    keep = 0
+    for v in vertices:
+        assert (g.active_mask >> v) & 1, v
+        keep |= 1 << v
+    adj = [g._adj[v] & keep if (keep >> v) & 1 else 0 for v in range(g.n)]
+    return Graph._from_masks(g.n, adj, keep)
 
 
 def neighbors(g, v):

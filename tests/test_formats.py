@@ -57,27 +57,30 @@ def test_parse_gr():
     assert g == path(3)
 
 
-@pytest.mark.parametrize(
-    "text,lineno",
-    [
-        ("p edge 2 1\ne 1 1\n", 2),
-        ("p edge 2 1\ne 1 3\n", 2),
-        ("p edge 2 1\ne 1 x\n", 2),
-        ("e 1 2\np edge 2 1\n", 1),
-        ("", 1),
-        ("c nothing\n", 1),
-        ("p edge 2 1\np edge 2 1\n", 2),
-        ("p foo 2 1\ne 1 2\n", 1),
-        ("p edge -1 0\n", 1),
-        ("p edge 2 1\nx 1 2\n", 2),
-        ("p edge 99999999999999999999 0\n", 1),
-    ],
-)
+# Malformed DIMACS files: (text, the line it fails on) and the message.
+COL_ERRORS = {
+    ("p edge 2 1\ne 1 1\n", 2): "self-loop on vertex 1",
+    ("p edge 2 1\ne 1 3\n", 2): "endpoint out of range 1..2: 'e 1 3'",
+    ("p edge 2 1\ne 1 x\n", 2): "non-integer endpoint: 'e 1 x'",
+    ("e 1 2\np edge 2 1\n", 1): "edge line before problem header",
+    ("", 1): "missing problem header",
+    ("c nothing\n", 1): "missing problem header",
+    ("p edge 2 1\np edge 2 1\n", 2): "duplicate problem header",
+    ("p foo 2 1\ne 1 2\n", 1): "malformed problem header: 'p foo 2 1'",
+    ("p edge -1 0\n", 1): "negative counts in header: 'p edge -1 0'",
+    ("p edge 2 1\nx 1 2\n", 2): "unrecognized line: 'x 1 2'",
+    ("p edge 99999999999999999999 0\n", 1): (
+        "vertex count too large: 'p edge 99999999999999999999 0'"
+    ),
+}
+
+
+@pytest.mark.parametrize("text,lineno", list(COL_ERRORS))
 def test_col_errors(text, lineno):
     with pytest.raises(ParseError) as info:
         parse_dimacs_col(text)
     assert info.value.line == lineno
-    assert f"line {lineno}:" in str(info.value)
+    assert str(info.value) == f"line {lineno}: {COL_ERRORS[text, lineno]}"
 
 
 def test_gr_errors():

@@ -7,7 +7,7 @@ import json
 import random
 
 import pytest
-from conftest import clique, cycle, degree, disjoint_union
+from conftest import clique, cycle, degree, disjoint_union, induced
 from twbb import (
     Graph,
     GraphError,
@@ -113,7 +113,7 @@ def test_mycielski():
 
 def test_mycielski_rejects_inactive_ids():
     # K2 on ids 0 and 1 of a 3-id universe; id 2 is not a vertex
-    for g in (Graph(3, [(0, 1)]).induced([0, 1]), cycle(5).eliminate(0)):
+    for g in (induced(Graph(3, [(0, 1)]), [0, 1]), cycle(5).eliminate(0)):
         with pytest.raises(GraphError, match="every id active"):
             mycielski(g)
 

@@ -6,7 +6,16 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import clique, complete_bipartite, cycle, degree, fill_edges, neighbors, path
+from conftest import (
+    clique,
+    complete_bipartite,
+    cycle,
+    degree,
+    fill_edges,
+    induced,
+    neighbors,
+    path,
+)
 from twbb import Graph, GraphError, connected_components, width_of_order
 from twbb.graph import bits, fill_count_in_masks, forced_in_masks
 
@@ -56,7 +65,7 @@ def test_eliminate_connects_neighbors():
 
 
 def test_eliminate_clique_gives_smaller_clique():
-    assert clique(4).eliminate(0) == clique(4).induced([1, 2, 3])
+    assert clique(4).eliminate(0) == induced(clique(4), [1, 2, 3])
 
 
 def test_fill_edges():
@@ -131,14 +140,6 @@ def test_forced_matches_brute_force_on_random_graphs():
         _check_forced(Graph(n, [e for e in pairs if rng.random() < p]))
 
 
-def test_induced_keeps_ids():
-    sub = clique(3).induced([0, 2])
-    assert sub.n == 3
-    assert sub.vertices == [0, 2]
-    assert sub.edges() == [(0, 2)]
-    assert sub.num_edges() == 1
-
-
 def test_width_of_order():
     assert width_of_order(path(4), (0, 1, 2, 3)) == 1
     assert width_of_order(cycle(4), (0, 1, 2, 3)) == 2
@@ -153,8 +154,33 @@ def test_width_of_order():
 def test_connected_components():
     g = Graph(6, [(0, 1), (2, 3), (3, 4)])
     comps = connected_components(g)
-    assert comps == [{0, 1}, {2, 3, 4}, {5}]
+    assert comps == [((0, 1), path(2)), ((2, 3, 4), path(3)), ((5,), Graph(1))]
     assert connected_components(Graph(0, [])) == []
+    # ids 1 and 5 are inactive; {0, 3, 6} and {2, 4} are relabelled in order
+    g = Graph(7, [(0, 6), (6, 3), (2, 4), (1, 5)]).eliminate(1).eliminate(5)
+    assert connected_components(g) == [
+        ((0, 3, 6), Graph(3, [(0, 2), (1, 2)])),
+        ((2, 4), path(2)),
+    ]
+
+
+def test_components_relabel_their_ids_in_order():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(0, 30)
+        p = rng.random() * 0.2
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        for v in rng.sample(range(n), rng.randint(0, n)):
+            g = g.eliminate(v)
+        comps = connected_components(g)
+        assert sorted(v for ids, _ in comps for v in ids) == g.vertices
+        assert [ids[0] for ids, _ in comps] == sorted(ids[0] for ids, _ in comps)
+        for ids, sub in comps:
+            assert list(ids) == sorted(ids)
+            pos = {v: i for i, v in enumerate(ids)}
+            edges = [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos]
+            assert sub == Graph(len(ids), edges)
+            assert len(connected_components(sub)) == 1
 
 
 def test_equality_and_hash():

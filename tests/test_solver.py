@@ -1,6 +1,7 @@
 """Branch-and-bound solver: exactness, pruning rules, anytime behavior."""
 
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -166,10 +167,39 @@ def test_components_are_searched_independently():
     # and memo
     g = disjoint_union(myciel(4), petersen(), gen_random(RandomGraphSpec(25, 50, 6)), cycle(6))
     r = solve(g)
-    parts = [solve(g.induced(c)) for c in connected_components(g)]
-    assert r.nodes_expanded == sum(p.nodes_expanded for p in parts) > PINNED[0][1]
-    assert r.best_width == max(p.best_width for p in parts)
-    assert r.best_order.vertices == tuple(v for p in parts for v in p.best_order.vertices)
+    parts = [(ids, solve(sub)) for ids, sub in connected_components(g)]
+    assert r.nodes_expanded == sum(p.nodes_expanded for _, p in parts) > PINNED[0][1]
+    assert r.best_width == max(p.best_width for _, p in parts)
+    assert r.best_order.vertices == tuple(
+        ids[v] for ids, p in parts for v in p.best_order.vertices
+    )
+    check_report(g, r)
+
+
+def test_a_component_costs_its_own_size():
+    # each isolated vertex is solved as a graph of one vertex, not as a
+    # copy of all 2,000 ids
+    tracemalloc.start()
+    try:
+        r = solve(Graph(2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.best_width == 0 and r.optimal
+    assert sorted(r.best_order.vertices) == list(range(2000))
+    assert peak < 8 << 20
+
+
+def test_component_orders_are_mapped_back():
+    # component {i, i + 1000} is solved on ids 0 and 1; its order (0, 1)
+    # reaches the caller as (i, i + 1000), in the callback and the report
+    g = Graph(2000, [(i, i + 1000) for i in range(1000)])
+    seen = []
+    r = solve(g, on_improvement=lambda el, w, order: seen.append((w, order)))
+    want = tuple(v for i in range(1000) for v in (i, i + 1000))
+    assert r.best_width == 1 and r.optimal
+    assert r.best_order.vertices == want
+    assert seen == [(1, want)]
     check_report(g, r)
 
 
