@@ -1,9 +1,9 @@
 """Benchmark harness: run the solver over generated instance families.
 
-A family is a generator spec repeated over consecutive seeds.  Each
-instance yields one record with the solver outcome, the min-fill width
-and the paired lower bounds, all tagged with a hash of the configuration
-so results stay attributable.
+A family is a generator spec repeated over consecutive seeds, starting
+at the spec's own seed.  Each instance yields one record with the solver
+outcome, the min-fill width and the paired lower bounds, all tagged with
+a hash of the configuration so results stay attributable.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 from .bounds import mcs_lb, minor_min_width, minwidth_lb
 from .generators import (
@@ -21,7 +21,7 @@ from .generators import (
     gen_partial_ktree,
     gen_random,
 )
-from .graph import GraphError
+from .graph import Graph, GraphError
 from .heuristics import min_fill_order
 from .solver import SolverConfig, solve
 
@@ -54,31 +54,30 @@ def config_hash(cfg: SolverConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _instances(spec, count: int, seed0: int):
+def _instance(spec) -> tuple[str, Graph]:
+    """The instance name and the graph of a family spec."""
     if isinstance(spec, RandomGraphSpec):
-        for i in range(count):
-            s = RandomGraphSpec(spec.n, spec.m, seed0 + i)
-            yield f"random-n{s.n}-m{s.m}-s{s.seed}", gen_random(s)
-    elif isinstance(spec, PartialKTreeSpec):
-        for i in range(count):
-            s = PartialKTreeSpec(spec.n, spec.k, spec.p, seed0 + i)
-            yield f"pktree-n{s.n}-k{s.k}-p{s.p}-s{s.seed}", gen_partial_ktree(s)
-    else:
-        raise TypeError(f"unknown family spec: {spec!r}")
+        return f"random-n{spec.n}-m{spec.m}-s{spec.seed}", gen_random(spec)
+    if isinstance(spec, PartialKTreeSpec):
+        return f"pktree-n{spec.n}-k{spec.k}-p{spec.p}-s{spec.seed}", gen_partial_ktree(spec)
+    raise TypeError(f"unknown family spec: {spec!r}")
 
 
-def run_family(spec, count: int = 30, seed0: int = 0, cfg: SolverConfig | None = None):
+def run_family(spec, count: int = 30, cfg: SolverConfig | None = None):
     """Yield one BenchRecord per instance, in instance order.
 
-    mf_width is the width of the whole graph's min-fill order, computed
-    apart from the solve like the three lower bounds, so a deadline that
-    cuts the solve's own min-fill run short does not change it.
+    The instances are spec itself and its copies with the next count - 1
+    seeds.  mf_width is the width of the whole graph's min-fill order,
+    computed apart from the solve like the three lower bounds, so a
+    deadline that cuts the solve's own min-fill run short does not
+    change it.
     """
     if count < 1:
         raise GraphError(f"count must be at least 1: {count}")
     cfg = cfg or SolverConfig()
     tag = config_hash(cfg)
-    for name, g in _instances(spec, count, seed0):
+    for _ in range(count):
+        name, g = _instance(spec)
         report = solve(g, cfg)
         yield BenchRecord(
             instance=name,
@@ -95,6 +94,7 @@ def run_family(spec, count: int = 30, seed0: int = 0, cfg: SolverConfig | None =
             mmw=minor_min_width(g),
             config=tag,
         )
+        spec = replace(spec, seed=spec.seed + 1)
 
 
 def aggregate(records: list[BenchRecord]) -> dict:

@@ -16,6 +16,7 @@ import sys
 from .bench import (
     PartialKTreeSpec,
     RandomGraphSpec,
+    _instance,
     aggregate,
     records_to_csv,
     records_to_jsonl,
@@ -31,7 +32,6 @@ from .formats import (
     write_pace_gr,
     write_pace_td,
 )
-from .generators import gen_partial_ktree, gen_random
 from .graph import GraphError
 from .oracle import DEFAULT_DP_LIMIT, exact_treewidth
 from .solver import SolverConfig, solve
@@ -68,7 +68,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_graph(path: str):
-    """The graph in path (- for stdin): .col is DIMACS, .gr is PACE, else the header decides."""
+    """The graph in path (- for stdin).
+
+    A .col file is DIMACS and a .gr file is PACE.  Any other input is PACE
+    when its first content line's first two tokens are p and tw, and DIMACS
+    otherwise.
+    """
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -80,7 +85,7 @@ def _read_graph(path: str):
         raise ParseError(line, f"{path} is not UTF-8 text") from None
     if path.endswith(".col"):
         return parse_dimacs_col(text)
-    if path.endswith(".gr") or next(_content_lines(text), (0, "", []))[1].startswith("p tw"):
+    if path.endswith(".gr") or next(_content_lines(text), (0, "", []))[2][:2] == ["p", "tw"]:
         return parse_pace_gr(text)
     return parse_dimacs_col(text)
 
@@ -188,37 +193,30 @@ def _cmd_oracle(args) -> int:
 def _add_families(parser, func) -> tuple[argparse.ArgumentParser, ...]:
     """Add a subparser per generated family to parser, each running func.
 
-    Each sets args.family to its name and args.generate to its generator.
+    Each sets args.family to its name, and args.make_spec to the function
+    that builds its spec from the parsed options.
     """
     families = parser.add_subparsers(dest="family", required=True)
     pr = families.add_parser("random")
     pr.add_argument("--n", type=int, required=True)
     pr.add_argument("--m", type=int, required=True)
-    pr.set_defaults(func=func, generate=gen_random)
+    pr.set_defaults(func=func, make_spec=lambda a: RandomGraphSpec(a.n, a.m, a.seed))
     pk = families.add_parser("pktree")
     pk.add_argument("--n", type=int, required=True)
     pk.add_argument("--k", type=int, required=True)
     pk.add_argument("--p", type=int, default=0)
-    pk.set_defaults(func=func, generate=gen_partial_ktree)
+    pk.set_defaults(func=func, make_spec=lambda a: PartialKTreeSpec(a.n, a.k, a.p, a.seed))
     return pr, pk
 
 
-def _family_spec(args, seed: int):
-    """The spec of the family named on the command line, with this seed."""
-    if args.family == "random":
-        return RandomGraphSpec(args.n, args.m, seed)
-    return PartialKTreeSpec(args.n, args.k, args.p, seed)
-
-
 def _cmd_gen(args) -> int:
-    _write(write_pace_gr(args.generate(_family_spec(args, args.seed))), args.out)
+    _write(write_pace_gr(_instance(args.make_spec(args))[1]), args.out)
     return 0
 
 
 def _cmd_bench(args) -> int:
-    spec = _family_spec(args, 0)
     cfg = SolverConfig(time_limit=args.time_limit)
-    records = list(run_family(spec, count=args.count, seed0=args.seed0, cfg=cfg))
+    records = list(run_family(args.make_spec(args), count=args.count, cfg=cfg))
     if args.format == "csv":
         text = records_to_csv(records)
         print(json.dumps({"aggregate": aggregate(records)}), file=sys.stderr)
@@ -264,7 +262,8 @@ def _build_parser() -> _Parser:
     pn = sub.add_parser("bench", help="run a generated family and report records")
     for family in _add_families(pn, _cmd_bench):
         family.add_argument("--count", type=int, default=30)
-        family.add_argument("--seed0", type=int, default=0)
+        # the first instance's spec seed; the others follow it
+        family.add_argument("--seed0", dest="seed", metavar="SEED0", type=int, default=0)
         family.add_argument("--time-limit", type=float, default=None)
         family.add_argument("--format", choices=("csv", "jsonl"), default="csv")
         family.add_argument("--out")

@@ -3,7 +3,9 @@
 Readers: DIMACS coloring files (``.col``, ``p edge`` header with ``e u v``
 lines) and PACE treewidth graphs (``.gr``, ``p tw`` header with bare edge
 lines).  Writers: PACE graphs and PACE tree decompositions (``.td``).
-All formats are 1-indexed on disk; graphs in memory are 0-indexed.
+All formats are 1-indexed on disk; graphs in memory are 0-indexed.  One
+leading byte-order mark is ignored, and lines are split into tokens on
+any run of whitespace.
 """
 
 from __future__ import annotations
@@ -35,8 +37,12 @@ class ParseError(ValueError):
 
 
 def _content_lines(text: str):
-    """Yield (line number, line, tokens) for each line that is neither blank nor a comment."""
-    for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1):
+    """Yield (line number, line, tokens) for each line that is neither blank nor a comment.
+
+    One leading byte-order mark is dropped first.
+    """
+    lines = text.removeprefix("\ufeff").splitlines()
+    for lineno, line in enumerate(map(str.strip, lines), start=1):
         if line and line[0] != "c":
             yield lineno, line, line.split()
 
@@ -65,8 +71,13 @@ def _header(lineno, line, parts, seen, name, kinds, size) -> list[int]:
 
 
 def _parse_graph(text: str, kinds: tuple[str, ...], edge_prefix: str | None) -> Graph:
+    """The graph of a file whose header's second token is in kinds.
+
+    Edge lines start with edge_prefix, if there is one.  Graph merges
+    duplicate edges, in either orientation.
+    """
     n = None
-    edges = set()
+    edges = []
     for lineno, line, parts in _content_lines(text):
         if parts[0] == "p":
             n, declared_m = _header(lineno, line, parts, n is not None, "problem", kinds, 4)
@@ -86,17 +97,14 @@ def _parse_graph(text: str, kinds: tuple[str, ...], edge_prefix: str | None) -> 
             raise ParseError(lineno, f"endpoint out of range 1..{n}: {line!r}")
         if u == v:
             raise ParseError(lineno, f"self-loop on vertex {u}")
-        a, b = (u - 1, v - 1) if u < v else (v - 1, u - 1)
-        edges.add((a, b))
+        edges.append((u - 1, v - 1))
     if n is None:
         raise ParseError(1, "missing problem header")
-    if declared_m != len(edges):
-        log.warning(
-            "header declares %d edges but %d distinct edges parsed",
-            declared_m,
-            len(edges),
-        )
-    return Graph(n, sorted(edges))
+    g = Graph(n, edges)
+    m = g.num_edges()
+    if declared_m != m:
+        log.warning("header declares %d edges but %d distinct edges parsed", declared_m, m)
+    return g
 
 
 def parse_dimacs_col(text: str) -> Graph:

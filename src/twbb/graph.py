@@ -46,7 +46,9 @@ class Graph:
 
     @classmethod
     def _from_masks(cls, n: int, adj: list[int], active: int) -> "Graph":
-        # Internal fast constructor; callers guarantee consistency.
+        # Internal fast constructor; callers guarantee consistency: the
+        # masks are symmetric, and an inactive id's mask is empty and in no
+        # other mask, as eliminations leave them.
         g = cls.__new__(cls)
         g.n = n
         g._adj = adj
@@ -71,7 +73,8 @@ class Graph:
         return self._active.bit_count()
 
     def num_edges(self) -> int:
-        return sum(self._adj[v].bit_count() for v in bits(self._active)) // 2
+        # an inactive id's mask is empty, so every mask can be counted
+        return sum(a.bit_count() for a in self._adj) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         out = []

@@ -283,3 +283,40 @@ def test_extensionless_header_sniff(tmp_path, capsys):
     p.write_text(C5_COL)
     assert main(["oracle", str(p)]) == 0
     assert "treewidth 2" in capsys.readouterr().out
+
+
+def test_header_sniff_reads_tokens(tmp_path, monkeypatch, capsys):
+    # any run of whitespace separates the header's tokens, as in the parsers
+    p = tmp_path / "instance"
+    for header in ("p\ttw 3 2", "p  tw 3 2", "  p \t tw\t3 2"):
+        text = f"c comment\n{header}\n1 2\n2 3\n"
+        p.write_text(text)
+        assert main(["oracle", str(p)]) == 0
+        assert "treewidth 1" in capsys.readouterr().out
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["solve", "-"]) == 0
+        assert "width 1 (optimal)" in capsys.readouterr().out
+
+
+def test_byte_order_mark_is_ignored(tmp_path, monkeypatch, capsys):
+    gr = write_pace_gr(cycle(5))
+    for name, text in (("c5.gr", gr), ("c5.col", C5_COL), ("c5", gr), ("c5", C5_COL)):
+        p = tmp_path / name
+        p.write_text(text, encoding="utf-8-sig")
+        assert p.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert main(["solve", str(p)]) == 0
+        assert "width 2 (optimal)" in capsys.readouterr().out
+    for text in (gr, C5_COL):
+        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + text))
+        assert main(["solve", "-"]) == 0
+        assert "width 2 (optimal)" in capsys.readouterr().out
+
+
+def test_bench_seed0_is_the_first_seed(capsys):
+    args = ["bench", "random", "--n", "7", "--m", "10", "--count", "2", "--seed0", "3"]
+    assert main([*args, "--format", "jsonl"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [json.loads(line)["instance"] for line in lines[:-1]] == [
+        "random-n7-m10-s3",
+        "random-n7-m10-s4",
+    ]

@@ -57,6 +57,58 @@ def test_parse_gr():
     assert g == path(3)
 
 
+def test_byte_order_mark_is_ignored():
+    gr = "c path\np tw 3 2\n1 2\n2 3\n"
+    col = "p edge 3 2\ne 1 2\ne 2 3\n"
+    td = "s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n"
+    assert parse_pace_gr("\ufeff" + gr) == parse_pace_gr(gr) == path(3)
+    assert parse_dimacs_col("\ufeff" + col) == parse_dimacs_col(col) == path(3)
+    assert parse_pace_td("\ufeff" + td) == parse_pace_td(td)
+    # only one, and only at the start
+    with pytest.raises(ParseError, match="^line 1: "):
+        parse_pace_gr("\ufeff\ufeff" + gr)
+
+
+def _messy_text(rng, n, edges, declared, dimacs):
+    """A graph file with the given header counts, written as untidily as the formats allow.
+
+    Each edge appears once or more, in either orientation; comment and blank
+    lines, tabs, runs of spaces and CRLF line ends fall in between.
+    """
+    seps = (" ", "\t", "  ", " \t ")
+    kind, prefix = ("edge", ["e"]) if dimacs else ("tw", [])
+    header = "p" + rng.choice(seps) + rng.choice(seps).join((kind, str(n), str(declared)))
+    lines = ["c generated", "", header]
+    body = []
+    for u, v in edges:
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            a, b = (u, v) if rng.random() < 0.5 else (v, u)
+            body.append(rng.choice(seps).join(prefix + [str(a + 1), str(b + 1)]))
+    rng.shuffle(body)
+    for line in body:
+        lines.append(rng.choice(("", " ", "\t")) + line + rng.choice(("", " ", "\t")))
+        if rng.random() < 0.2:
+            lines.append(rng.choice(("", "c note", "   ", "c\t1 2")))
+    return rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("", "\n", "\r\n"))
+
+
+def test_messy_files_parse_to_their_graph(caplog):
+    rng = random.Random(11)
+    for _ in range(400):
+        n = rng.choice((0, 1, 2, rng.randint(3, 14)))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = [e for e in pairs if rng.random() < rng.random()]
+        expected = Graph(n, edges)
+        declared = rng.choice((len(edges), len(edges), len(edges) + 1, 2 * len(edges)))
+        for dimacs, parse in ((False, parse_pace_gr), (True, parse_dimacs_col)):
+            text = _messy_text(rng, n, edges, declared, dimacs)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="twbb.formats"):
+                assert parse(text) == expected, text
+            warned = any("distinct edges parsed" in m for m in caplog.messages)
+            assert warned == (declared != len(edges)), text
+
+
 # Malformed DIMACS files: (text, the line it fails on) and the message.
 COL_ERRORS = {
     ("p edge 2 1\ne 1 1\n", 2): "self-loop on vertex 1",

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from conftest import clique, cycle, degree, disjoint_union, induced
@@ -135,7 +136,7 @@ def test_queen_graph_rejects_negative_sizes():
 
 
 def test_run_family_records():
-    records = list(run_family(RandomGraphSpec(8, 12), count=3, seed0=5))
+    records = list(run_family(RandomGraphSpec(8, 12, seed=5), count=3))
     assert [r.instance for r in records] == [
         "random-n8-m12-s5",
         "random-n8-m12-s6",
@@ -146,11 +147,20 @@ def test_run_family_records():
         assert r.optimal and r.proven_lb == r.best_width
         assert max(r.mw, r.mcslb, r.mmw) <= r.best_width <= r.mf_width
         assert len(r.config) == 12
-    kt = next(iter(run_family(PartialKTreeSpec(8, 3, 0), count=1, seed0=2)))
+    kt = next(iter(run_family(PartialKTreeSpec(8, 3, 0, seed=2), count=1)))
     assert kt.instance == "pktree-n8-k3-p0-s2"
     assert kt.best_width == 3
     with pytest.raises(TypeError):
         list(run_family(object(), count=1))
+
+
+def test_run_family_starts_at_the_spec_seed():
+    for spec in (RandomGraphSpec(8, 12, seed=7), PartialKTreeSpec(8, 3, 20, seed=7)):
+        records = [replace(r, elapsed=0) for r in run_family(spec, count=2)]
+        assert [r.instance.rsplit("-", 1)[1] for r in records] == ["s7", "s8"]
+        for seed, r in zip((7, 8), records):
+            alone = next(run_family(replace(spec, seed=seed), count=1))
+            assert replace(alone, elapsed=0) == r
 
 
 def test_bench_mf_width_is_the_min_fill_width():

@@ -197,6 +197,7 @@ def test_eliminate_leaves_clique_property(g):
         after = g.eliminate(v)
         kept = {e for e in g.edges() if v not in e}
         assert set(after.edges()) == kept | fill_edges(g, v)
+        assert after.num_edges() == len(after.edges())
         assert after.vertices == [u for u in g.vertices if u != v]
 
 
