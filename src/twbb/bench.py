@@ -3,7 +3,10 @@
 A family is a generator spec repeated over consecutive seeds, starting
 at the spec's own seed.  Each instance yields one record with the solver
 outcome, the min-fill width and the paired lower bounds, all tagged with
-a hash of the configuration so results stay attributable.
+a hash of the configuration so results stay attributable.  The instances
+themselves come from ``generators._instance``.  The command line imports
+this module only when ``tw bench`` runs, so its ``hashlib`` and ``csv``
+stay off the start-up path of every other command.
 """
 
 from __future__ import annotations
@@ -15,13 +18,8 @@ import json
 from dataclasses import asdict, dataclass, fields, replace
 
 from .bounds import mcs_lb, minor_min_width, minwidth_lb
-from .generators import (
-    PartialKTreeSpec,
-    RandomGraphSpec,
-    gen_partial_ktree,
-    gen_random,
-)
-from .graph import Graph, GraphError
+from .generators import _instance
+from .graph import GraphError
 from .heuristics import min_fill_order
 from .solver import SolverConfig, solve
 
@@ -52,15 +50,6 @@ FIELDS = tuple(f.name for f in fields(BenchRecord))
 def config_hash(cfg: SolverConfig) -> str:
     blob = json.dumps(asdict(cfg), sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
-
-
-def _instance(spec) -> tuple[str, Graph]:
-    """The instance name and the graph of a family spec."""
-    if isinstance(spec, RandomGraphSpec):
-        return f"random-n{spec.n}-m{spec.m}-s{spec.seed}", gen_random(spec)
-    if isinstance(spec, PartialKTreeSpec):
-        return f"pktree-n{spec.n}-k{spec.k}-p{spec.p}-s{spec.seed}", gen_partial_ktree(spec)
-    raise TypeError(f"unknown family spec: {spec!r}")
 
 
 def run_family(spec, count: int = 30, cfg: SolverConfig | None = None):

@@ -3,6 +3,12 @@
 Subcommands: solve, bounds, oracle, gen, bench.  Exit codes: 0 for a
 proven-optimal result (or ordinary success), 2 when a time-limited solve
 returns its best-so-far without proof, 1 for any error.
+
+Importing this module loads only what ``tw solve`` runs: ``tw bench``
+imports the benchmark harness when it is called.  Nothing configures
+logging, so a warning (such as a header's edge count that does not match
+the file) reaches stderr as its bare message through Python's
+last-resort handler.
 """
 
 from __future__ import annotations
@@ -10,18 +16,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import logging
 import sys
 
-from .bench import (
-    PartialKTreeSpec,
-    RandomGraphSpec,
-    _instance,
-    aggregate,
-    records_to_csv,
-    records_to_jsonl,
-    run_family,
-)
 from .bounds import mcs_lb, mcs_lb_max, minor_min_width, minwidth_lb
 from .decomposition import build_decomposition, validate_decomposition
 from .formats import (
@@ -32,6 +28,7 @@ from .formats import (
     write_pace_gr,
     write_pace_td,
 )
+from .generators import PartialKTreeSpec, RandomGraphSpec, _instance
 from .graph import GraphError
 from .oracle import DEFAULT_DP_LIMIT, exact_treewidth
 from .solver import SolverConfig, solve
@@ -215,6 +212,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import aggregate, records_to_csv, records_to_jsonl, run_family
+
     cfg = SolverConfig(time_limit=args.time_limit)
     records = list(run_family(args.make_spec(args), count=args.count, cfg=cfg))
     if args.format == "csv":
@@ -274,7 +273,6 @@ def _build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.WARNING)
     try:
         return args.func(args)
     except (ParseError, GraphError, OSError) as exc:

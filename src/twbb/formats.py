@@ -10,7 +10,6 @@ any run of whitespace.
 
 from __future__ import annotations
 
-import logging
 import sys
 
 from .decomposition import TreeDecomposition
@@ -24,8 +23,6 @@ __all__ = [
     "write_pace_gr",
     "write_pace_td",
 ]
-
-log = logging.getLogger("twbb.formats")
 
 
 class ParseError(ValueError):
@@ -103,7 +100,11 @@ def _parse_graph(text: str, kinds: tuple[str, ...], edge_prefix: str | None) -> 
     g = Graph(n, edges)
     m = g.num_edges()
     if declared_m != m:
-        log.warning("header declares %d edges but %d distinct edges parsed", declared_m, m)
+        import logging  # only here, so that parsing a well-formed file never loads it
+
+        logging.getLogger("twbb.formats").warning(
+            "header declares %d edges but %d distinct edges parsed", declared_m, m
+        )
     return g
 
 

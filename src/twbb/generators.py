@@ -2,7 +2,8 @@
 
 All randomness comes from ``random.Random`` seeded with the spec's seed
 (CPython's Mersenne Twister), so every spec maps to one byte-identical
-graph on any platform.
+graph on any platform.  ``_instance`` names a spec's instance and makes
+its graph; ``tw gen`` and the benchmark harness both go through it.
 """
 
 from __future__ import annotations
@@ -99,6 +100,15 @@ def gen_partial_ktree(spec: PartialKTreeSpec) -> Graph:
         dropped = set(rng.sample(sorted(edges), remove))
         edges -= dropped
     return Graph(n, sorted(edges))
+
+
+def _instance(spec) -> tuple[str, Graph]:
+    """The instance name and the graph of a family spec."""
+    if isinstance(spec, RandomGraphSpec):
+        return f"random-n{spec.n}-m{spec.m}-s{spec.seed}", gen_random(spec)
+    if isinstance(spec, PartialKTreeSpec):
+        return f"pktree-n{spec.n}-k{spec.k}-p{spec.p}-s{spec.seed}", gen_partial_ktree(spec)
+    raise TypeError(f"unknown family spec: {spec!r}")
 
 
 def mycielski(g: Graph) -> Graph:

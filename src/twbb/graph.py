@@ -77,10 +77,10 @@ class Graph:
         return sum(a.bit_count() for a in self._adj) // 2
 
     def edges(self) -> list[tuple[int, int]]:
+        # an inactive id's mask is empty, so every mask can be walked
         out = []
-        for u in bits(self._active):
-            higher = self._adj[u] >> (u + 1)
-            for k in bits(higher):
+        for u, a in enumerate(self._adj):
+            for k in bits(a >> (u + 1)):
                 out.append((u, u + 1 + k))
         return out
 

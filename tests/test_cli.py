@@ -225,6 +225,21 @@ def test_error_exits(tmp_path, capsys):
     assert "error: line 1: vertex count too large" in capsys.readouterr().err
 
 
+def _python(*args, stdin=None, **kwargs):
+    """Run a fresh interpreter that imports this checkout's twbb."""
+    pkg_root = str(Path(twbb.__file__).parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        **kwargs,
+    )
+
+
 def test_a_graph_too_large_to_hold_is_an_error(tmp_path):
     # Graph allocates one mask per declared vertex before the first edge
     # is read: 8 GB here.  The child caps its own address space first,
@@ -237,16 +252,7 @@ def test_a_graph_too_large_to_hold_is_an_error(tmp_path):
 
     p = tmp_path / "huge.gr"
     p.write_text("p tw 1000000000 0\n")
-    pkg_root = str(Path(twbb.__file__).parent.parent)
-    pythonpath = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "twbb.cli", "solve", str(p)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        preexec_fn=cap,
-        env={**os.environ, "PYTHONPATH": pythonpath},
-    )
+    proc = _python("-m", "twbb.cli", "solve", str(p), preexec_fn=cap)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr == "error: out of memory\n"
 
@@ -320,3 +326,41 @@ def test_bench_seed0_is_the_first_seed(capsys):
         "random-n7-m10-s3",
         "random-n7-m10-s4",
     ]
+
+
+# Modules that only tw bench or a malformed header needs.
+NOT_AT_START = ("logging", "hashlib", "csv", "twbb.bench")
+
+
+def test_import_loads_only_what_solve_runs():
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import twbb.cli\n"
+        f"print(sorted(m for m in {NOT_AT_START!r} if m in set(sys.modules) - before))\n"
+    )
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_solve_leaves_logging_unloaded(c5_gr):
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from twbb.cli import main\n"
+        f"assert main(['solve', {c5_gr!r}]) == 0\n"
+        "print('logging' in set(sys.modules) - before)\n"
+    )
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_header_warning_is_the_bare_message_on_stderr():
+    # pytest's own log handlers would catch the record in process, so the
+    # last-resort handler only shows in a fresh interpreter
+    proc = _python("-m", "twbb.cli", "solve", "-", stdin="p tw 3 3\n1 2\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "header declares 3 edges but 1 distinct edges parsed\n"
+    assert "width 1 (optimal)" in proc.stdout

@@ -51,6 +51,27 @@ def test_basic_inspection():
     assert g.edges() == [(0, 1), (1, 2)]
 
 
+def test_edges_are_the_adjacent_active_pairs():
+    # the definition, pair by pair, on graphs with isolated and eliminated ids
+    rng = random.Random(7)
+    graphs = [Graph(0), Graph(1), Graph(5), Graph(6, [(4, 5)])]
+    for _ in range(200):
+        n = rng.randrange(1, 16)
+        pairs = list(itertools.combinations(range(n), 2))
+        g = Graph(n, rng.sample(pairs, rng.randrange(len(pairs) + 1)))
+        for v in rng.sample(range(n), rng.randrange(n + 1)):
+            g = g.eliminate(v)
+            graphs.append(g)
+    for g in graphs:
+        active = set(g.vertices)
+        want = [
+            (u, v)
+            for u, v in itertools.combinations(range(g.n), 2)
+            if u in active and v in active and (g._adj[u] >> v) & 1
+        ]
+        assert g.edges() == want
+
+
 def test_bits_and_mask_helpers():
     assert list(bits(0b101101)) == [0, 2, 3, 5]
 
