@@ -63,7 +63,8 @@ class Graph:
 
     @property
     def vertices(self) -> list[int]:
-        return list(bits(self._active))
+        # bin() is linear in n, where bits() does n-bit work per vertex
+        return [v for v, b in enumerate(reversed(bin(self._active))) if b == "1"]
 
     @property
     def active_mask(self) -> int:

@@ -29,7 +29,7 @@ width ub.  A candidate whose child's vertex set is in the memo is closed
 before its child is built, and a built child whose reduced vertex set is
 in it is closed like a child whose bound reached ub.
 
-Every finished branch is settled in one step (_Search.settle): its
+Every finished branch is settled in one step (_Dfs.settle): its
 branch vertex is forbidden to its later siblings' subtrees, and its
 vertex set goes into the memo if the branch's g is below ub.  A branch
 finishes when it is closed, keyed by its vertex set before the forced
@@ -62,13 +62,15 @@ the width of its order of the remaining graph, so when g is below ub
 every such order is at least ub wide: the set is dead, and stays dead as
 ub only ever drops.
 
-Each solve builds one _Search, which holds the settings, the deadline,
-the current component's upper bound, forbidden list and memo, and what
-has been found so far.  The depth-first search keeps an explicit stack
-rather than recursing, because its depth reaches the number of
-vertices.  Settling pushes the forbidden pair on an undo log, and
-popping a stack entry pops the log back to the mark it took before its
-state was expanded.
+Each solve builds one _Search, which holds what spans components: the
+deadline, each component's best order and the improvement trace.  Each
+component search is one _Dfs, which holds that search's upper bound,
+forbidden list and memo, and yields every narrower order it finds.  It
+keeps an explicit stack rather than recursing, because its depth
+reaches the number of vertices.  The forbidden list is a dict, which
+keeps its pairs in the order they were settled, so it is its own undo
+log: popping a stack entry pops the dict's last pairs back to the
+length it had before the entry's state was expanded.
 """
 
 from __future__ import annotations
@@ -167,7 +169,7 @@ class RunReport:
     anytime_trace: list[tuple[float, int]]
 
 
-def prune_mutual_simplicial(candidates: list[int], g: Graph, lb: int) -> list[int]:
+def prune_mutual_simplicial(candidates: list[int], g: Graph, lb: int, stop=None) -> list[int]:
     """Keep one candidate of each group whose eliminations force each other.
 
     A makes B when, after eliminating A, the reductions may eliminate B
@@ -188,9 +190,11 @@ def prune_mutual_simplicial(candidates: list[int], g: Graph, lb: int) -> list[in
     so starting with the one of lower degree is never worse.  No step of
     a chain can lower the best width reachable, so no dropped candidate
     beats the kept one it was reached from.
+
+    stop() is polled once per vertex taken from a group's reach list;
+    once it fires, every candidate is returned, since dropping none is
+    always sound.
     """
-    if len(candidates) < 2:
-        return list(candidates)
     adj = g._adj
     status = {b: forced_in_masks(adj, b, lb) for b in candidates}
     elim: dict[int, list[int]] = {}
@@ -218,6 +222,8 @@ def prune_mutual_simplicial(candidates: list[int], g: Graph, lb: int) -> list[in
         seen.add(k)
         reach = [k]
         while reach:
+            if stop is not None and stop():
+                return list(candidates)
             a = reach.pop()
             da = adj[a].bit_count()
             for b in order:
@@ -230,7 +236,7 @@ def prune_mutual_simplicial(candidates: list[int], g: Graph, lb: int) -> list[in
     return [v for v in candidates if v not in dropped]
 
 
-def prune_fill_subset(candidates: list[int], g: Graph) -> list[int]:
+def prune_fill_subset(candidates: list[int], g: Graph, stop=None) -> list[int]:
     """Drop candidates whose fill edges contain another candidate's.
 
     If fill(A) is a subset of fill(B), eliminating A first is never
@@ -238,13 +244,15 @@ def prune_fill_subset(candidates: list[int], g: Graph) -> list[int]:
     Every fill edge of A joins two vertices of T(A), the neighbors of A
     that some fill edge touches, and is a non-edge; so fill(A) is a
     subset of fill(B) exactly when T(A) lies inside B's neighborhood.
+    stop() is polled once per candidate; once it fires, every candidate
+    is returned.
     """
-    if len(candidates) < 2:
-        return list(candidates)
     adj = g._adj
     touched = {v: fill_touched_in_masks(adj, v) for v in candidates}
     keep = []
     for v in candidates:
+        if stop is not None and stop():
+            return list(candidates)
         tv, nv = touched[v], adj[v]
         for u in candidates:
             # fill(u) within fill(v), and u wins the tie or v's is larger
@@ -299,12 +307,14 @@ def _make_children(search, s: SearchState):
     adjacent to the settled one never matches, because its neighborhood
     lost that vertex.
 
-    Returns the children, or None when search.stop() fires before a
-    candidate.  They are (branch vertex, neighborhood at elimination,
-    state) tuples in ascending (f, vertices left, vertex) order, so among
+    search is the _Dfs that expands s.  Returns the children, or None
+    when search.stop() fires before a candidate; the two candidate
+    filters poll it too, and return their input once it fires.  The
+    children are (branch vertex, neighborhood at elimination, state)
+    tuples in ascending (f, vertices left, vertex) order, so among
     children of equal f the one the forced rules shrank most is explored
-    first.  Every other candidate is settled here (see _Search.settle):
-    one whose elimination degree or the state's g reaches ub, or whose
+    first.  Every other candidate is settled here (see _Dfs.settle): one
+    whose elimination degree or the state's g reaches ub, or whose
     child's vertex set is in the memo, before its child is built or
     bounded, and a built child that its bound or the memo closes, keyed
     by its vertex set before the forced rules.
@@ -319,9 +329,9 @@ def _make_children(search, s: SearchState):
     if forb:
         cands = [v for v in cands if (v, adj[v]) not in forb]
     if cfg.prune_mutual_simplicial and len(cands) > 1:
-        cands = prune_mutual_simplicial(cands, g, s.f)
+        cands = prune_mutual_simplicial(cands, g, s.f, search.stop)
     if cfg.prune_fill_subset and len(cands) > 1:
-        cands = prune_fill_subset(cands, g)
+        cands = prune_fill_subset(cands, g, search.stop)
 
     children = []
     for v in cands:
@@ -342,19 +352,94 @@ def _make_children(search, s: SearchState):
     return children
 
 
-class _Search:
-    """One solve: its settings, its deadline and what it has found so far.
+class _Dfs:
+    """One depth-first search of one component below the width ub.
 
-    ub, forb, log and memo belong to the component being searched: its
-    best width so far, its forbidden list (see _make_children), the undo
-    log of that list's pairs in the order they were added, and its set of
-    dead vertex-set masks (see the module docstring).  settle is the one
-    place that adds to the list and the memo.  nodes counts expansions
-    over all components, best holds each component's best (width, order)
-    on the component's own ids, ids the input graph's ids they stand for
-    (see connected_components), and trace the improvements of the width
-    over all of them.  Every state is bounded by state_lower_bound, looked
-    up at each call.
+    stop is the solve's stop poll.  forb is the forbidden list (see
+    _make_children), a dict of (vertex, neighborhood) pairs in the order
+    they were added, and memo the set of dead vertex-set masks (see the
+    module docstring); settle is the one place that adds to either.
+    nodes counts expansions, and lb is the lower bound the search has
+    proven.  Every state is bounded by state_lower_bound, looked up at
+    each call.
+    """
+
+    def __init__(self, cfg: SolverConfig, stop, ub: int):
+        self.cfg = cfg
+        self.stop = stop
+        self.ub = ub
+        self.forb: dict[tuple[int, int], None] = {}
+        self.memo: set[int] = set()
+        self.nodes = 0
+        self.lb = 0
+
+    def settle(self, v: int, nb: int, key: int, g: int) -> None:
+        """Settle a finished branch: v, eliminated with neighborhood nb.
+
+        The pair (v, nb) is forbidden until the branch's parent is popped;
+        with prune_sibling_order off the list stays empty.  key, the
+        branch's vertex set, goes into the memo when its width so far g is
+        below ub, which makes it dead.
+        """
+        if self.cfg.prune_sibling_order:
+            self.forb[v, nb] = None
+        if g < self.ub and len(self.memo) < MEMO_STATES:
+            self.memo.add(key)
+
+    def run(self, sub: Graph, root_lb: int):
+        """Search sub, yielding each narrower (width, order) found.
+
+        root_lb is a lower bound on sub.  The generator ends when the
+        search is exhausted, with lb the final ub, or when stop() fires,
+        with lb the root's bound.
+        """
+        root = _bound(self, sub, (), 0, root_lb, root_lb, 0)
+        # a root its bound closes leaves nothing to search: lb is ub
+        self.lb = root.f if root is not None else self.ub
+        # Each entry is (children left, forbidden-list mark, branch vertex,
+        # its neighborhood, the state it leads to).  The mark is the list's
+        # length before the state was expanded.  Popping an entry pops the
+        # list back to its mark, then settles its branch in the parent;
+        # popping the root ends the search.
+        forb, stack = self.forb, []
+        v, nbv, s = None, 0, root
+        while s is not None:
+            mark, children = len(forb), ()
+            if s.f < self.ub:
+                if self.stop():
+                    return
+                self.nodes += 1
+                if len(s.graph) < 2:
+                    self.ub = s.g
+                    yield s.g, s.prefix + tuple(s.graph.vertices)
+                    if s.g <= self.lb:
+                        # nothing beats the root bound: unwind every entry
+                        stack.clear()
+                        mark = 0
+                else:
+                    children = _make_children(self, s)
+                    if children is None:
+                        return
+            stack.append((iter(children), mark, v, nbv, s))
+            while (nxt := next(stack[-1][0], None)) is None:
+                _, mark, v, nbv, s = stack.pop()
+                while len(forb) > mark:
+                    forb.popitem()
+                if not stack:
+                    self.lb = self.ub
+                    return
+                self.settle(v, nbv, s.graph.active_mask, s.g)
+            v, nbv, s = nxt
+
+
+class _Search:
+    """One solve: what spans its components.
+
+    That is its settings, its deadline and stop poll, and what it has
+    found so far.  nodes counts expansions over all components, best holds each
+    component's best (width, order) on the component's own ids, ids the
+    input graph's ids they stand for (see connected_components), and
+    trace the improvements of the width over all of them.
     """
 
     def __init__(self, cfg: SolverConfig, should_stop=None, on_improvement=None):
@@ -363,10 +448,6 @@ class _Search:
         self.deadline = None if cfg.time_limit is None else self.t0 + cfg.time_limit
         self.should_stop = should_stop
         self.on_improvement = on_improvement
-        self.ub = 0
-        self.forb: set[tuple[int, int]] = set()
-        self.log: list[tuple[int, int]] = []
-        self.memo: set[int] = set()
         self.nodes = 0
         self.best: list[tuple[int, tuple[int, ...]]] = []
         self.ids: list[tuple[int, ...]] = []
@@ -376,20 +457,6 @@ class _Search:
         if self.deadline is not None and time.monotonic() >= self.deadline:
             return True
         return self.should_stop is not None and self.should_stop()
-
-    def settle(self, v: int, nb: int, key: int, g: int) -> None:
-        """Settle a finished branch: v, eliminated with neighborhood nb.
-
-        The pair (v, nb) is forbidden, and logged so that leaving the
-        branch's parent lifts it; with prune_sibling_order off the list
-        stays empty.  key, the branch's vertex set, goes into the memo
-        when its width so far g is below ub, which makes it dead.
-        """
-        if self.cfg.prune_sibling_order:
-            self.forb.add((v, nb))
-            self.log.append((v, nb))
-        if g < self.ub and len(self.memo) < MEMO_STATES:
-            self.memo.add(key)
 
     def width(self) -> int:
         return max((w for w, _ in self.best), default=0)
@@ -405,54 +472,6 @@ class _Search:
             self.trace.append((el, width))
             if self.on_improvement is not None:
                 self.on_improvement(el, width, self.order())
-
-    def search_component(self, i: int, sub: Graph, root_lb: int) -> int:
-        """Search component i, the graph sub, below its best width so far.
-
-        root_lb is a lower bound on the intact component.  Returns the
-        proven lower bound, which is the final width unless stop() cut
-        the search short.
-        """
-        self.ub = self.best[i][0]
-        self.forb, self.log, self.memo = set(), [], set()
-        root = _bound(self, sub, (), 0, root_lb, root_lb, 0)
-        if root is None:
-            return self.ub
-        lb = root.f
-        # Each entry is (children left, undo-log mark, branch vertex, its
-        # neighborhood, the state it leads to).  The mark is the log's
-        # length before the state was expanded.  Popping an entry pops the
-        # log back to its mark, then settles its branch in the parent;
-        # popping the root ends the search.
-        forb, log, stack = self.forb, self.log, []
-        v, nbv, s = None, 0, root
-        while True:
-            mark, children = len(log), ()
-            if s.f < self.ub:
-                if self.stop():
-                    return lb
-                self.nodes += 1
-                if len(s.graph) < 2:
-                    self.ub = s.g
-                    self.best[i] = (s.g, s.prefix + tuple(s.graph.vertices))
-                    self.emit()
-                    if s.g <= lb:
-                        # nothing beats the root bound: unwind every entry
-                        stack.clear()
-                        mark = 0
-                else:
-                    children = _make_children(self, s)
-                    if children is None:
-                        return lb
-            stack.append((iter(children), mark, v, nbv, s))
-            while (nxt := next(stack[-1][0], None)) is None:
-                _, mark, v, nbv, s = stack.pop()
-                while len(log) > mark:
-                    forb.remove(log.pop())
-                if not stack:
-                    return self.ub
-                self.settle(v, nbv, s.graph.active_mask, s.g)
-            v, nbv, s = nxt
 
 
 def solve(
@@ -472,14 +491,16 @@ def solve(
     initial heuristic solution and every improvement.  The search stops once
     cfg.time_limit seconds have passed or should_stop() returns true;
     both are checked once per elimination of each component's min-fill
-    run, between branch candidates and at node boundaries.  A stop during
-    min-fill finishes its order by minimum degree, and a component whose
-    min-fill run starts after the stop is ordered by minimum degree from
-    the start.  Each component's root minor-min-width runs before its
+    run, between branch candidates, at node boundaries and inside the
+    two candidate filters, once per candidate or reached vertex; a
+    filter cut short keeps every candidate.  A stop during min-fill
+    finishes its order by minimum degree, and a component whose min-fill
+    run starts after the stop is ordered by minimum degree from the
+    start.  Each component's root minor-min-width runs before its
     min-fill run and polls once per contraction round too.  So a solve
     returns within the time limit plus, for each component, one
     minimum-degree tail and one contraction round, plus one bounded
-    child.  A root bound cut short keeps the degrees it recorded, at
+    child or one filter step.  A root bound cut short keeps the degrees it recorded, at
     least the minimum degree, so only a solve stopped before a
     component's root bound finishes reports a weaker proven_lb.
     Every solve that is not cut short is deterministic for a given
@@ -497,7 +518,12 @@ def solve(
     for i, (_, sub) in enumerate(comps):
         if search.stop():
             break
-        lbs[i] = search.search_component(i, sub, lbs[i])
+        dfs = _Dfs(search.cfg, search.stop, search.best[i][0])
+        # each order the search yields is component i's new best
+        for search.best[i] in dfs.run(sub, lbs[i]):
+            search.emit()
+        search.nodes += dfs.nodes
+        lbs[i] = dfs.lb
 
     best_width = search.width()
     proven_lb = min(max(lbs, default=0), best_width)

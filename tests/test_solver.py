@@ -1,6 +1,7 @@
 """Branch-and-bound solver: exactness, pruning rules, anytime behavior."""
 
 import random
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -298,7 +299,7 @@ def test_children_the_memo_covers_are_never_built(monkeypatch):
     parent = []
     hits = []
     make_children = solver._make_children
-    settle = solver._Search.settle
+    settle = solver._Dfs.settle
     eliminate = Graph.eliminate
     lower_bound = solver.state_lower_bound
 
@@ -338,7 +339,7 @@ def test_children_the_memo_covers_are_never_built(monkeypatch):
         return lower_bound(graph, cap=cap, stop=stop)
 
     monkeypatch.setattr(solver, "_make_children", spy_children)
-    monkeypatch.setattr(solver._Search, "settle", spy_settle)
+    monkeypatch.setattr(solver._Dfs, "settle", spy_settle)
     monkeypatch.setattr(Graph, "eliminate", spy_eliminate)
     monkeypatch.setattr(solver, "state_lower_bound", spy_bound)
     for g, nodes, _ in PINNED:
@@ -366,7 +367,7 @@ def test_memo_hits_across_forced_edges_are_sound(monkeypatch):
     parent = []
     hits = {}
     make_children = solver._make_children
-    settle = solver._Search.settle
+    settle = solver._Dfs.settle
     bound = solver._bound
     eliminate = Graph.eliminate
 
@@ -410,7 +411,7 @@ def test_memo_hits_across_forced_edges_are_sound(monkeypatch):
         return state
 
     monkeypatch.setattr(solver, "_make_children", spy_children)
-    monkeypatch.setattr(solver._Search, "settle", spy_settle)
+    monkeypatch.setattr(solver._Dfs, "settle", spy_settle)
     monkeypatch.setattr(solver, "_bound", spy_bound)
     monkeypatch.setattr(Graph, "eliminate", spy_eliminate)
     for g in forced_edge_family():
@@ -432,14 +433,13 @@ def test_memo_holds_only_dead_vertex_sets(monkeypatch):
     # forced rules, states are popped at g >= ub, and the third draw of
     # seed 26 stores a set that is not dead unless settle checks g < ub.
     memos = []
-    search_component = solver._Search.search_component
+    run = solver._Dfs.run
 
-    def spy(search, i, sub, root_lb):
-        lb = search_component(search, i, sub, root_lb)
-        memos.append((search.memo, search.ub))
-        return lb
+    def spy(dfs, sub, root_lb):
+        yield from run(dfs, sub, root_lb)
+        memos.append((dfs.memo, dfs.ub))
 
-    monkeypatch.setattr(solver._Search, "search_component", spy)
+    monkeypatch.setattr(solver._Dfs, "run", spy)
     rng = random.Random(26)
     both = (SolverConfig(), SolverConfig(prune_sibling_order=False))
     cases = [(g, both) for g in forced_edge_family()]
@@ -474,22 +474,21 @@ LEAF_AT_ROOT_BOUND = [
 
 def test_settling_keeps_the_forbidden_list_exact(monkeypatch):
     # With the sibling rule on, settle never adds a pair that is already
-    # forbidden, popping a state takes the undo log back to its length
-    # when the state was expanded, and a search that is not stopped ends
-    # with an empty forbidden list.  With the rule off the list stays
-    # empty.
+    # forbidden, popping a state takes the forbidden list back to its
+    # length when the state was expanded, and a search that is not
+    # stopped ends with an empty forbidden list.  With the rule off the
+    # list stays empty.
     make_children = solver._make_children
-    settle = solver._Search.settle
-    search_component = solver._Search.search_component
+    settle = solver._Dfs.settle
+    run = solver._Dfs.run
     branch = {}  # id of a child state -> (the state, its branch vertex)
-    path = []  # (state, branch vertex, log length) of each expanded state not yet popped
+    path = []  # (state, branch vertex, list length) of each expanded state not yet popped
     inside = []
     counts = {"pops": 0, "settles": 0}
 
     def spy_children(search, s):
-        assert search.forb == set(search.log) and len(search.forb) == len(search.log)
         state, v = branch.get(id(s), (None, None))
-        path.append((s, v if state is s else None, len(search.log)))
+        path.append((s, v if state is s else None, len(search.forb)))
         inside.append(s)
         try:
             children = make_children(search, s)
@@ -501,26 +500,25 @@ def test_settling_keeps_the_forbidden_list_exact(monkeypatch):
 
     def spy_settle(search, v, nb, key, g):
         if not search.cfg.prune_sibling_order:
-            assert not search.forb and not search.log
+            assert not search.forb
         assert (v, nb) not in search.forb
         s, bv, mark = path[-1]
         if not inside and (bv, s.graph.active_mask) == (v, key):
             # the last expanded state is popped
-            assert len(search.log) == mark
+            assert len(search.forb) == mark
             path.pop()
             counts["pops"] += 1
         counts["settles"] += 1
         settle(search, v, nb, key, g)
 
-    def spy_component(search, i, sub, root_lb):
+    def spy_run(dfs, sub, root_lb):
         path.clear()
-        lb = search_component(search, i, sub, root_lb)
-        assert not search.forb and not search.log
-        return lb
+        yield from run(dfs, sub, root_lb)
+        assert not dfs.forb
 
     monkeypatch.setattr(solver, "_make_children", spy_children)
-    monkeypatch.setattr(solver._Search, "settle", spy_settle)
-    monkeypatch.setattr(solver._Search, "search_component", spy_component)
+    monkeypatch.setattr(solver._Dfs, "settle", spy_settle)
+    monkeypatch.setattr(solver._Dfs, "run", spy_run)
     graphs = [g for g, _, _ in PINNED] + list(forced_edge_family())
     graphs.append(disjoint_union(petersen(), gen_random(RandomGraphSpec(25, 50, 6))))
     # min-fill gives 7 here; the first leaf meets the root bound 6 after
@@ -706,6 +704,35 @@ def test_deadline_cuts_a_root_expansion():
     check_report(g, r)
 
 
+def test_the_candidate_filters_poll_the_stop():
+    # The root of a 50 x 50 grid has 2,500 candidates, and both filters
+    # are quadratic in the candidate count.  Before they polled stop(),
+    # the longest gap between two polls of this solve was 2.97-4.66 s in
+    # three runs, inside prune_mutual_simplicial, and the solve returned
+    # after 3.55-5.67 s; with the polls the gap was 0.16-0.28 s and the
+    # solve returned after 2.0 s (2-core Xeon, Python 3.11).  The 1.0 s
+    # bound leaves a margin of 3.5x over the new gap and is a third of
+    # the old one.  The should_stop that records the polls is the
+    # deadline itself, so that every poll after the deadline is seen
+    # too, up to the solve's return.
+    perm = list(range(2500))
+    random.Random(0).shuffle(perm)
+    g = Graph(2500, [(perm[u], perm[v]) for u, v in grid(50, 50).edges()])
+    t0 = time.monotonic()
+    polls = [t0]
+
+    def deadline():
+        polls.append(time.monotonic())
+        return polls[-1] >= t0 + 2.0
+
+    r = solve(g, should_stop=deadline)
+    polls.append(time.monotonic())
+    gap = max(b - a for a, b in zip(polls, polls[1:]))
+    assert gap < 1.0, f"{gap:.2f} s between two polls"
+    assert not r.optimal
+    check_report(g, r)
+
+
 def test_improvement_callback():
     # min-fill gives 4 here and the treewidth is 3
     g = gen_random(RandomGraphSpec(9, 16, seed=554))
@@ -721,11 +748,37 @@ def test_improvement_callback():
 def searcher(ub, cfg, settled=()):
     """A search at best width ub that has settled the (vertex,
     neighborhood) pairs in settled; its memo is empty."""
-    search = solver._Search(cfg)
-    search.ub = ub
+    search = solver._Dfs(cfg, lambda: False, ub)
     for v, nb in settled:
         search.settle(v, nb, 0, ub)
     return search
+
+
+def test_a_decision_search_finds_a_leaf_exactly_when_k_reaches_the_treewidth():
+    # A search with ub = k + 1 and no incumbent order decides whether the
+    # treewidth is at most k: it yields an order exactly when it is, and
+    # run to its end it proves min(k + 1, tw).
+    rng = random.Random(31)
+    decided = 0
+    for _ in range(300):
+        n = rng.randint(5, 9)
+        p = rng.uniform(0.2, 0.8)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        g = Graph(n, [e for e in pairs if rng.random() < p])
+        tw = exact_treewidth(g).treewidth
+        root_lb = minor_min_width(g)
+        for k in range(root_lb - 1, tw + 2):
+            for cfg in (SolverConfig(), ALL_OFF):
+                dfs = solver._Dfs(cfg, lambda: False, k + 1)
+                found = list(dfs.run(g, root_lb))
+                assert bool(found) == (k >= tw)
+                assert dfs.lb == min(k + 1, tw)
+                widths = [w for w, _ in found]
+                assert widths == sorted(set(widths), reverse=True)
+                for w, order in found:
+                    assert width_of_order(g, order) == w <= k
+                decided += 1
+    assert decided > 1000
 
 
 def expand(s, ub, cfg, settled=()):
@@ -794,7 +847,7 @@ def test_prune_sibling_order_matches_snapshot():
     search = searcher(10, cfg, settled)
     kids = solver._make_children(search, SearchState(g, (), 0, 0))
     assert [k.prefix for _, _, k in kids] == [(0,), (2,), (3,)]
-    assert search.forb == set(settled)
+    assert list(search.forb) == settled
     # the rule is off, or the neighborhood no longer matches the snapshot
     kids = expand(SearchState(g, (), 0, 0), 10, ALL_OFF, settled)
     assert [k.prefix for k in kids] == [(0,), (1,), (2,), (3,)]
