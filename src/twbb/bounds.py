@@ -13,28 +13,24 @@ treewidth never goes up under minors.
 
 from __future__ import annotations
 
-from .graph import Graph, GraphError, bits
+from .graph import Graph, GraphError, bits, min_degree_sweep
 
 
 def minwidth_lb(g: Graph) -> int:
     """Max degree at removal time under repeated minimum-degree removal.
 
     Each round removes a minimum-degree vertex (ties lowest id) without
-    adding fill.
+    adding fill.  The rounds are graph.min_degree_sweep, the sweep that
+    finishes min-fill's tail, with removal in place of elimination, so a
+    round costs time in the removed vertex's neighborhood.
     """
     adj = list(g._adj)
-    active = g.active_mask
     value = 0
-    while active:
-        v = min(bits(active), key=lambda x: adj[x].bit_count())
-        d = adj[v].bit_count()
-        if d > value:
-            value = d
+    for v, d in min_degree_sweep(adj, g.active_mask):
+        value = max(value, d)
         bv = 1 << v
         for u in bits(adj[v]):
             adj[u] &= ~bv
-        adj[v] = 0
-        active &= ~bv
     return value
 
 
@@ -43,29 +39,30 @@ def mcs_lb(g: Graph, start: int | None = None) -> int:
 
     The sweep labels start first, then repeatedly the unlabeled vertex
     with the most labeled neighbors (ties lowest id).  start defaults to
-    the lowest active vertex id.
+    the lowest active vertex id.  Each step scans the list of unlabeled
+    ids, so the sweep is quadratic in the number of vertices but does no
+    whole-graph mask work per step.
     """
     if start is not None:
         g._require_active(start)
-    if len(g) == 0:
+    left = g.vertices
+    if not left:
         return 0
-    active = g.active_mask
     if start is None:
-        start = (active & -active).bit_length() - 1
+        start = left[0]
     adj = g._adj
     count = [0] * g.n
     value = 0
-    unlabeled = active
     cur = start
     while True:
-        if count[cur] > value:
-            value = count[cur]
-        unlabeled &= ~(1 << cur)
-        if not unlabeled:
+        value = max(value, count[cur])
+        left.remove(cur)
+        if not left:
             return value
-        for w in bits(adj[cur] & unlabeled):
+        # a labeled vertex's count is never read again, so it may grow
+        for w in bits(adj[cur]):
             count[w] += 1
-        cur = max(bits(unlabeled), key=count.__getitem__)
+        cur = max(left, key=count.__getitem__)
 
 
 def mcs_lb_max(g: Graph, restarts: int = 1) -> int:
@@ -95,12 +92,7 @@ def minor_min_width(g: Graph, cap: int | None = None, stop=None) -> int:
     """
     adj = list(g._adj)
     deg = [m.bit_count() for m in adj]
-    alive = []
-    rest = g._active
-    while rest:
-        low = rest & -rest
-        alive.append(low.bit_length() - 1)
-        rest ^= low
+    alive = g.vertices
     n = g.n
     value = 0
     while len(alive) > value + 1:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graph import Graph, _eliminate_in_place, bits, check_permutation
+from .graph import Graph, bits, eliminations
 
 __all__ = [
     "TreeDecomposition",
@@ -54,24 +54,22 @@ class ValidationReport:
 def build_decomposition(g: Graph, order) -> TreeDecomposition:
     """Turn an elimination order into a tree decomposition of equal width.
 
-    Eliminates along the order on a copy of the adjacency masks.  Bag i
+    Eliminates along the order by graph.eliminations, the pass
+    width_of_order reads its width from, so the two agree.  Bag i
     holds order[i] plus its neighbors when it is eliminated, and attaches
     to the bag of the earliest of those neighbors; a bag with none
     attaches to the next bag so the tree stays connected even when the
     graph is not.
     """
     vs = tuple(order)
-    check_permutation(g, vs)
-    adj = list(g._adj)
     pos = {v: i for i, v in enumerate(vs)}
     bags = []
     edges = []
-    for i, v in enumerate(vs):
-        later = list(bits(adj[v]))
-        bags.append(frozenset((v, *later)))
+    for i, nb in enumerate(eliminations(g, vs)):
+        later = list(bits(nb))
+        bags.append(frozenset((vs[i], *later)))
         if i < len(vs) - 1:
             edges.append((i, min((pos[u] for u in later), default=i + 1)))
-        _eliminate_in_place(adj, v)
     return TreeDecomposition(tuple(bags), tuple(edges))
 
 

@@ -12,7 +12,7 @@ nothing mutates a graph a caller can see.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):
@@ -205,20 +205,66 @@ def check_permutation(g: Graph, order: Sequence[int]) -> None:
         raise GraphError(f"order is not a permutation of the active vertices: {order}")
 
 
+def eliminations(g: Graph, order: Sequence[int]) -> Iterator[int]:
+    """Yield, for each vertex of order in turn, its neighborhood mask just
+    before it is eliminated, on a copy of g's masks.
+
+    The one elimination pass along an order: widths and tree
+    decompositions are both read from it.  order must be a permutation of
+    g's active vertices; GraphError is raised at the first step otherwise.
+    """
+    check_permutation(g, order)
+    adj = list(g._adj)
+    for v in order:
+        yield adj[v]
+        _eliminate_in_place(adj, v)
+
+
 def width_of_order(g: Graph, order: Sequence[int]) -> int:
     """Width of an elimination order: the largest degree at elimination time.
 
     order must be a permutation of g's active vertices.
     """
-    check_permutation(g, order)
-    adj = list(g._adj)
-    width = 0
-    for v in order:
-        d = adj[v].bit_count()
-        if d > width:
-            width = d
-        _eliminate_in_place(adj, v)
-    return width
+    return max((nb.bit_count() for nb in eliminations(g, order)), default=0)
+
+
+def min_degree_sweep(adj: list[int], active: int) -> Iterator[tuple[int, int]]:
+    """Yield (v, degree) for the lowest-id active vertex of least degree in
+    ``adj``, once per active vertex.
+
+    The one minimum-degree sweep: min-fill's tail and minwidth_lb both run
+    it.  Between yields the caller takes v out of ``adj``, by elimination
+    or by removal (clearing v from its neighbors' masks); either way only
+    the masks of v's old neighbors change, and the sweep reads their
+    degrees again.  bucket[d] masks the active vertices of degree d, so the
+    lowest set bit of the lowest non-empty bucket is the vertex to yield,
+    and lo never exceeds that degree.  No step scans the active vertices:
+    it touches the buckets and v's old neighbors only.
+    """
+    deg = [0] * len(adj)
+    bucket = [0] * len(adj)
+    for x in bits(active):
+        d = deg[x] = adj[x].bit_count()
+        bucket[d] |= 1 << x
+    lo = 0
+    while active:
+        while not bucket[lo]:
+            lo += 1
+        low = bucket[lo] & -bucket[lo]
+        bucket[lo] ^= low
+        active ^= low
+        v = low.bit_length() - 1
+        nb = adj[v]
+        yield v, lo
+        for x in bits(nb):
+            bx = 1 << x
+            d = adj[x].bit_count()
+            if d != deg[x]:
+                bucket[deg[x]] ^= bx
+                bucket[d] |= bx
+                deg[x] = d
+                if d < lo:
+                    lo = d
 
 
 def connected_components(g: Graph) -> list[tuple[tuple[int, ...], Graph]]:

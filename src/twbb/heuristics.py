@@ -5,15 +5,16 @@ fewest edges, ties going to the lowest vertex id, so the order is a
 deterministic function of the graph.  Every fill count is computed once
 and then updated by the change each elimination makes to it, so a step
 costs time in its neighborhood and the fill edges it adds, not in a
-recount of every vertex within distance two of it.  A solve's deadline can cut the run
-short, and then a minimum-degree tail finishes the order.
+recount of every vertex within distance two of it.  A solve's deadline
+can cut the run short, and then graph.min_degree_sweep, the sweep
+minwidth_lb runs too, finishes the order by elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, _eliminate_in_place, bits, fill_count_in_masks
+from .graph import Graph, _eliminate_in_place, bits, fill_count_in_masks, min_degree_sweep
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,8 @@ def min_fill_order(g: Graph, stop=None) -> EliminationOrder:
     stop, when given, is polled once per elimination: before the fill
     counts are first computed, then after each elimination but the last.
     Once it returns true the rest of the order is finished by minimum
-    degree (ties to the lowest id), which needs no fill counts.  The order
+    degree (ties to the lowest id), which needs no fill counts: that tail
+    is graph.min_degree_sweep, eliminating each vertex it yields.  The order
     is a permutation of the active vertices either way, and its width is
     exact.
     """
@@ -95,36 +97,11 @@ def min_fill_order(g: Graph, stop=None) -> EliminationOrder:
             order.append(v)
             if not active or (stop is not None and stop()):
                 break
-    # The minimum-degree tail.  bucket[d] masks the active vertices of
-    # degree d, so the lowest set bit of the lowest non-empty bucket is the
-    # lowest-id vertex of minimum degree, and lo never exceeds that degree.
-    # Only the old neighbors of an eliminated vertex change degree.
-    deg = [0] * g.n
-    bucket = [0] * g.n
-    for x in bits(active):
-        d = deg[x] = adj[x].bit_count()
-        bucket[d] |= 1 << x
-    lo = 0
-    while active:
-        while not bucket[lo]:
-            lo += 1
-        low = bucket[lo] & -bucket[lo]
-        bucket[lo] ^= low
-        active ^= low
-        v = low.bit_length() - 1
+    # The minimum-degree tail, from the masks as the stop left them.
+    for v, d in min_degree_sweep(adj, active):
         order.append(v)
-        width = max(width, lo)
-        nb = adj[v]
+        width = max(width, d)
         _eliminate_in_place(adj, v)
-        for x in bits(nb):
-            bx = 1 << x
-            d = adj[x].bit_count()
-            if d != deg[x]:
-                bucket[deg[x]] ^= bx
-                bucket[d] |= bx
-                deg[x] = d
-                if d < lo:
-                    lo = d
     return EliminationOrder(tuple(order), width)
 
 

@@ -500,9 +500,9 @@ def solve(
     min-fill run and polls once per contraction round too.  So a solve
     returns within the time limit plus, for each component, one
     minimum-degree tail and one contraction round, plus one bounded
-    child or one filter step.  A root bound cut short keeps the degrees it recorded, at
-    least the minimum degree, so only a solve stopped before a
-    component's root bound finishes reports a weaker proven_lb.
+    child or one filter step.  A root bound cut short keeps the degrees
+    it recorded, at least the minimum degree, so only a solve stopped
+    before a component's root bound finishes reports a weaker proven_lb.
     Every solve that is not cut short is deterministic for a given
     configuration.
     """

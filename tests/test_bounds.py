@@ -1,6 +1,7 @@
 """Treewidth lower bounds: min-width, max-cardinality, and minor-min-width."""
 
 import random
+import time
 
 import pytest
 from conftest import clique, cycle, degree, induced, path, petersen, star
@@ -122,6 +123,14 @@ def test_a_stop_cuts_minor_min_width_short():
     assert values == sorted(values) and values[-1] == full
 
 
+def neighbor_sets(vertices, edges):
+    nb = {v: set() for v in vertices}
+    for a, b in edges:
+        nb[a].add(b)
+        nb[b].add(a)
+    return nb
+
+
 def least_c_reference(vertices, edges):
     """Minor-min-width with least-c contraction on a dict of sets, run to the end.
 
@@ -129,10 +138,7 @@ def least_c_reference(vertices, edges):
     its degree, and contracts into v the neighbor with the fewest common
     neighbors, ties to the smaller degree, then the lower id.
     """
-    nb = {v: set() for v in vertices}
-    for a, b in edges:
-        nb[a].add(b)
-        nb[b].add(a)
+    nb = neighbor_sets(vertices, edges)
     value = 0
     while nb:
         v = min(nb, key=lambda x: (len(nb[x]), x))
@@ -170,3 +176,74 @@ def test_least_c_beats_min_degree_neighbor():
     g = Graph(8, edges)
     assert minor_min_width(g) == least_c_reference(range(8), edges) == 4
     assert exact_treewidth(g).treewidth == 4
+
+
+def minwidth_reference(vertices, edges):
+    """Min-width on a dict of sets: each round removes the minimum-degree
+    vertex (ties lowest id), found by a full scan, and records its degree."""
+    nb = neighbor_sets(vertices, edges)
+    value = 0
+    while nb:
+        v = min(nb, key=lambda x: (len(nb[x]), x))
+        value = max(value, len(nb[v]))
+        for w in nb.pop(v):
+            nb[w].discard(v)
+    return value
+
+
+def mcs_reference(vertices, edges, start):
+    """Max-cardinality search on a dict of sets from start: each step
+    labels the unlabeled vertex with the most labeled neighbors (ties
+    lowest id), found by a full scan, and records that count."""
+    nb = neighbor_sets(vertices, edges)
+    count = dict.fromkeys(nb, 0)
+    left = set(nb)
+    value = 0
+    cur = start
+    while True:
+        value = max(value, count[cur])
+        left.discard(cur)
+        if not left:
+            return value
+        for w in nb[cur] & left:
+            count[w] += 1
+        cur = min(left, key=lambda x: (-count[x], x))
+
+
+def test_sweep_bounds_match_references():
+    # mcs_lb's value depends on its tie rule: ties to the highest id fail
+    # here.  minwidth_lb's does not (it is the largest minimum degree of
+    # any subgraph, whichever vertex each round removes), so the order of
+    # the shared minimum-degree sweep is pinned by min-fill's tail tests.
+    rng = random.Random(13)
+    for _ in range(2000):
+        n = rng.randint(0, 30)
+        p = rng.random()
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        keep = [v for v in range(n) if rng.random() > 0.1]
+        g = induced(Graph(n, edges), keep)
+        sub = [(a, b) for a, b in edges if a in keep and b in keep]
+        assert minwidth_lb(g) == minwidth_reference(keep, sub)
+        if keep:
+            assert mcs_lb(g) == mcs_reference(keep, sub, keep[0])
+        for s in keep:
+            assert mcs_lb(g, s) == mcs_reference(keep, sub, s)
+
+
+def test_sweep_bounds_are_fast_on_a_large_tree():
+    # A tree on 5,000 vertices with shuffled ids, as `tw bounds` runs it.
+    # When both sweeps scanned every active id of a whole-graph mask to
+    # choose each vertex, minwidth_lb took 6.9 s and mcs_lb 4.2 s here;
+    # the shared minimum-degree sweep and mcs_lb's list of unlabeled ids
+    # take 0.015 s and 0.30 s (2-core Xeon, Python 3.11).  The 3 s bound
+    # is 9x the new total and a quarter of the old one.
+    n = 5000
+    perm = list(range(n))
+    rng = random.Random(0)
+    rng.shuffle(perm)
+    g = Graph(n, [(perm[i], perm[rng.randrange(i)]) for i in range(1, n)])
+    t0 = time.perf_counter()
+    assert minwidth_lb(g) == 1
+    assert mcs_lb(g) == 1
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 3.0, f"{elapsed:.2f} s"

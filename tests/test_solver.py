@@ -733,6 +733,46 @@ def test_the_candidate_filters_poll_the_stop():
     check_report(g, r)
 
 
+def test_the_anytime_contract_holds_at_every_poll():
+    # Each graph is solved once for every poll the solve could be stopped
+    # at, up to 60: a should_stop that returns true from poll k + 1 on lets
+    # k polls pass and stops the run at the next, wherever that falls
+    # (min-fill, a root bound, a filter, a node boundary).  Every cut-off
+    # report must still hold a valid order of its stated width and a
+    # sound proven_lb.
+    graphs = [
+        gen_random(RandomGraphSpec(n, n * (n - 1) // 2 * (seed % 4 + 1) // 5, seed=seed))
+        for n in range(2, 13)
+        for seed in range(8)
+    ]
+    rng = random.Random(23)
+    for _ in range(20):
+        pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+        halves = [Graph(6, [e for e in pairs if rng.random() < 0.5]) for _ in range(2)]
+        graphs.append(disjoint_union(*halves))
+    for g in graphs:
+        tw = exact_treewidth(g).treewidth
+        for cfg in (SolverConfig(), SolverConfig(reductions=False, edge_addition=False)):
+            polls = [0]
+
+            def stop():
+                polls[0] += 1
+                return polls[0] > cut
+
+            cut = float("inf")
+            solve(g, cfg, should_stop=stop)
+            for cut in range(min(polls[0], 60)):
+                polls[0] = 0
+                seen = []
+                r = solve(g, cfg, on_improvement=lambda t, w, o: seen.append((w, o)), should_stop=stop)
+                assert sorted(r.best_order.vertices) == g.vertices
+                assert width_of_order(g, r.best_order.vertices) == r.best_width
+                assert r.proven_lb <= tw <= r.best_width
+                assert not r.optimal or r.best_width == tw
+                for w, order in seen:
+                    assert width_of_order(g, order) == w
+
+
 def test_improvement_callback():
     # min-fill gives 4 here and the treewidth is 3
     g = gen_random(RandomGraphSpec(9, 16, seed=554))
