@@ -8,7 +8,7 @@ Quick start::
     report.best_width   # 2, with report.optimal True
 """
 
-from .bounds import mcs_lb, mcs_lb_max, minor_min_width, minwidth_lb
+from .bounds import mcs_lb, minor_min_width, minwidth_lb
 from .decomposition import (
     TreeDecomposition,
     ValidationReport,
@@ -64,7 +64,6 @@ __all__ = [
     "gen_partial_ktree",
     "gen_random",
     "mcs_lb",
-    "mcs_lb_max",
     "min_fill_order",
     "minor_min_width",
     "minwidth_lb",

@@ -2,8 +2,9 @@
 
 Three bounds, each sound (never above the true treewidth): the max
 degree seen during minimum-degree removal (minwidth_lb), the max count
-of already-labeled neighbors during a maximum-cardinality sweep
-(mcs_lb), and the strongest of the three, minor_min_width, which
+of already-labeled neighbors during a maximum-cardinality sweep from a
+given start (mcs_lb; ``tw bounds --mcs-restarts`` keeps the best of
+several starts), and the strongest of the three, minor_min_width, which
 contracts a minimum-degree vertex into the neighbor it shares the fewest
 neighbors with ("least-c", Bodlaender, Koster & Wolle, 2004) and records
 the degree observed before each contraction.  Contraction keeps the
@@ -13,7 +14,7 @@ treewidth never goes up under minors.
 
 from __future__ import annotations
 
-from .graph import Graph, GraphError, bits, min_degree_sweep
+from .graph import Graph, bits, min_degree_sweep
 
 
 def minwidth_lb(g: Graph) -> int:
@@ -39,9 +40,11 @@ def mcs_lb(g: Graph, start: int | None = None) -> int:
 
     The sweep labels start first, then repeatedly the unlabeled vertex
     with the most labeled neighbors (ties lowest id).  start defaults to
-    the lowest active vertex id.  Each step scans the list of unlabeled
-    ids, so the sweep is quadratic in the number of vertices but does no
-    whole-graph mask work per step.
+    the lowest active vertex id.  Any active start gives a sound bound,
+    so running it from several starts and keeping the largest is sound
+    too.  Each step scans the list of unlabeled ids, so the sweep is
+    quadratic in the number of vertices but does no whole-graph mask
+    work per step.
     """
     if start is not None:
         g._require_active(start)
@@ -63,13 +66,6 @@ def mcs_lb(g: Graph, start: int | None = None) -> int:
         for w in bits(adj[cur]):
             count[w] += 1
         cur = max(left, key=count.__getitem__)
-
-
-def mcs_lb_max(g: Graph, restarts: int = 1) -> int:
-    """Best mcs_lb over the first `restarts` active vertices as starts."""
-    if restarts < 1:
-        raise GraphError("restarts must be at least 1")
-    return max((mcs_lb(g, s) for s in g.vertices[:restarts]), default=0)
 
 
 def minor_min_width(g: Graph, cap: int | None = None, stop=None) -> int:

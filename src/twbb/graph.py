@@ -194,8 +194,15 @@ def _eliminate_in_place(adj: list[int], v: int) -> None:
     adj[v] = 0
 
 
-def check_permutation(g: Graph, order: Sequence[int]) -> None:
-    """Raise GraphError unless order lists each active vertex of g once."""
+def eliminations(g: Graph, order: Sequence[int]) -> Iterator[int]:
+    """Yield, for each vertex of order in turn, its neighborhood mask just
+    before it is eliminated, on a copy of g's masks.
+
+    The one elimination pass along an order: widths and tree
+    decompositions are both read from it.  order must list each active
+    vertex of g once and nothing else; otherwise GraphError is raised at
+    the first step, before any mask is yielded.
+    """
     seen = 0
     for v in order:
         if not (0 <= v < g.n) or (seen >> v) & 1:
@@ -203,17 +210,6 @@ def check_permutation(g: Graph, order: Sequence[int]) -> None:
         seen |= 1 << v
     if seen != g.active_mask:
         raise GraphError(f"order is not a permutation of the active vertices: {order}")
-
-
-def eliminations(g: Graph, order: Sequence[int]) -> Iterator[int]:
-    """Yield, for each vertex of order in turn, its neighborhood mask just
-    before it is eliminated, on a copy of g's masks.
-
-    The one elimination pass along an order: widths and tree
-    decompositions are both read from it.  order must be a permutation of
-    g's active vertices; GraphError is raised at the first step otherwise.
-    """
-    check_permutation(g, order)
     adj = list(g._adj)
     for v in order:
         yield adj[v]

@@ -11,7 +11,6 @@ from twbb import (
     RandomGraphSpec,
     gen_random,
     mcs_lb,
-    mcs_lb_max,
     minor_min_width,
     minwidth_lb,
     mycielski,
@@ -67,9 +66,9 @@ def test_all_bounds_sound_on_random_graphs():
             assert mcs_lb(g, start=start) <= tw
 
 
-def test_mcs_lb_max_restarts():
+def test_mcs_lb_best_of_restarts():
     g = mycielski(cycle(5))
-    best = mcs_lb_max(g, restarts=len(g))
+    best = max(mcs_lb(g, s) for s in g.vertices)
     assert best >= mcs_lb(g)
     assert best <= exact_treewidth(g, limit=11).treewidth
 
@@ -78,7 +77,7 @@ def test_mcs_lb_depends_on_start():
     g = gen_random(RandomGraphSpec(10, 20, seed=0))
     assert [mcs_lb(g, s) for s in g.vertices] == [3, 4, 3, 3, 3, 3, 4, 3, 3, 3]
     assert mcs_lb(g) == 3
-    assert mcs_lb_max(g, 2) == 4 == exact_treewidth(g).treewidth
+    assert max(mcs_lb(g, s) for s in g.vertices[:2]) == 4 == exact_treewidth(g).treewidth
     for start in (-1, 10):
         with pytest.raises(GraphError):
             mcs_lb(g, start)

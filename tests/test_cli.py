@@ -15,6 +15,7 @@ from twbb import (
     RandomGraphSpec,
     SolverConfig,
     gen_random,
+    mcs_lb,
     mycielski,
     parse_pace_gr,
     parse_pace_td,
@@ -138,6 +139,46 @@ def test_bounds(myciel3_gr, capsys):
     assert main(["bounds", myciel3_gr, "--mcs-restarts", "11"]) == 0
     text = capsys.readouterr().out
     assert "mmw    4" in text and "best of 11 starts" in text
+    assert main(["bounds", myciel3_gr, "--json", "--mcs-restarts", "11"]) == 0
+    best = json.loads(capsys.readouterr().out)["mcslb_best"]
+    g = mycielski(cycle(5))
+    assert best == max(mcs_lb(g, s) for s in g.vertices) and 3 <= best <= 5
+
+
+def test_bounds_best_start(tmp_path, capsys):
+    # the sweep from id 0 gives 3 on this graph, the one from id 1 gives 4
+    p = tmp_path / "g.gr"
+    p.write_text(write_pace_gr(gen_random(RandomGraphSpec(10, 20, seed=0))))
+    assert main(["bounds", str(p), "--json", "--mcs-restarts", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["mcslb"], payload["mcslb_best"]) == (3, 4)
+
+
+def test_bounds_sweeps_once_per_start(tmp_path, monkeypatch, capsys):
+    # mcslb is the first start's sweep, so no start is swept twice
+    g = gen_random(RandomGraphSpec(9, 16, seed=554))
+    p = tmp_path / "g.gr"
+    p.write_text(write_pace_gr(g))
+    empty = tmp_path / "empty.gr"
+    empty.write_text("p tw 0 0\n")
+    calls = []
+
+    def counting(h, start=None):
+        calls.append(start)
+        return mcs_lb(h, start)
+
+    monkeypatch.setattr(twbb.cli, "mcs_lb", counting)
+    for k in (1, 3, 100):
+        calls.clear()
+        assert main(["bounds", str(p), "--json", "--mcs-restarts", str(k)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert calls == g.vertices[:k] and len(calls) == min(k, len(g))
+        best = max(mcs_lb(g, s) for s in g.vertices[:k])
+        assert (payload["mcslb"], payload["mcslb_best"]) == (mcs_lb(g), best)
+    calls.clear()
+    assert main(["bounds", str(empty), "--json", "--mcs-restarts", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert calls == [] and (payload["mcslb"], payload["mcslb_best"]) == (0, 0)
 
 
 def test_bounds_reports_the_starts_tried(tmp_path, capsys):
