@@ -42,30 +42,41 @@ def mcs_lb(g: Graph, start: int | None = None) -> int:
     with the most labeled neighbors (ties lowest id).  start defaults to
     the lowest active vertex id.  Any active start gives a sound bound,
     so running it from several starts and keeping the largest is sound
-    too.  Each step scans the list of unlabeled ids, so the sweep is
-    quadratic in the number of vertices but does no whole-graph mask
-    work per step.
+    too.  bucket[c] masks the unlabeled vertices with c labeled
+    neighbors, as in graph.min_degree_sweep, so the lowest set bit of the
+    highest non-empty bucket is the vertex to label, and no step scans the
+    unlabeled vertices.
     """
     if start is not None:
         g._require_active(start)
-    left = g.vertices
+    left = g.active_mask
     if not left:
         return 0
     if start is None:
-        start = left[0]
+        start = (left & -left).bit_length() - 1
     adj = g._adj
     count = [0] * g.n
-    value = 0
+    bucket = [left]
+    value = hi = 0
     cur = start
     while True:
         value = max(value, count[cur])
-        left.remove(cur)
+        bucket[count[cur]] ^= 1 << cur
+        left ^= 1 << cur
         if not left:
             return value
-        # a labeled vertex's count is never read again, so it may grow
-        for w in bits(adj[cur]):
-            count[w] += 1
-        cur = max(left, key=count.__getitem__)
+        for w in bits(adj[cur] & left):
+            bw = 1 << w
+            c = count[w]
+            bucket[c] ^= bw
+            count[w] = c = c + 1
+            if c == len(bucket):
+                bucket.append(0)
+            bucket[c] |= bw
+            hi = max(hi, c)
+        while not bucket[hi]:
+            hi -= 1
+        cur = (bucket[hi] & -bucket[hi]).bit_length() - 1
 
 
 def minor_min_width(g: Graph, cap: int | None = None, stop=None) -> int:

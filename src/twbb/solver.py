@@ -38,6 +38,17 @@ explored, keyed by its reduced vertex set.  A search cut short by the
 deadline returns without popping, so no state whose subtree it cut is
 settled.  The memo takes no new sets once it holds MEMO_STATES of them.
 
+When its root bound leaves a component open, the search finds up to
+symmetry.AUTOMORPHISMS automorphisms of the root state's graph H, once,
+and settle adds each dead set's image under each of them to the memo
+too, every set counting against MEMO_STATES.  Why an image is dead: the
+graph that eliminating everything outside a set S leaves of H joins u and
+w in S when a path in H joins them through eliminated vertices only, so
+an automorphism σ of H maps it onto the graph σ(S) leaves.  By the
+argument below, an order of S narrower than ub has the same width on any
+search state's graph for S as on that elimination graph, so σ(S) is dead
+exactly when S is.
+
 The key is the vertex set alone, although forced edge additions depend
 on the best width and on the path taken, so two visits to one set can
 carry different graphs: both are the graph the set leaves in the input
@@ -359,6 +370,8 @@ class _Dfs:
     _make_children), a dict of (vertex, neighborhood) pairs in the order
     they were added, and memo the set of dead vertex-set masks (see the
     module docstring); settle is the one place that adds to either.
+    autos holds the automorphisms of the root state's graph, whose
+    vertex set is root_set, and settle adds each dead set's images too.
     nodes counts expansions, and lb is the lower bound the search has
     proven.  Every state is bounded by state_lower_bound, looked up at
     each call.
@@ -370,6 +383,8 @@ class _Dfs:
         self.ub = ub
         self.forb: dict[tuple[int, int], None] = {}
         self.memo: set[int] = set()
+        self.autos: list[tuple[int, ...]] = []
+        self.root_set = 0
         self.nodes = 0
         self.lb = 0
 
@@ -379,12 +394,26 @@ class _Dfs:
         The pair (v, nb) is forbidden until the branch's parent is popped;
         with prune_sibling_order off the list stays empty.  key, the
         branch's vertex set, goes into the memo when its width so far g is
-        below ub, which makes it dead.
+        below ub, which makes it dead, and so does its image under each
+        of autos.  A key already in the memo adds nothing: it went in with
+        its images or as one, and when autos is the whole group, the
+        images of an image are images too.
         """
         if self.cfg.prune_sibling_order:
             self.forb[v, nb] = None
-        if g < self.ub and len(self.memo) < MEMO_STATES:
-            self.memo.add(key)
+        memo = self.memo
+        if g >= self.ub or key in memo or len(memo) >= MEMO_STATES:
+            return
+        memo.add(key)
+        # an image is the root's set less the image of what key lacks
+        gone = self.root_set ^ key
+        for sigma in self.autos:
+            if len(memo) >= MEMO_STATES:
+                break
+            image = 0
+            for x in bits(gone):
+                image |= 1 << sigma[x]
+            memo.add(self.root_set ^ image)
 
     def run(self, sub: Graph, root_lb: int):
         """Search sub, yielding each narrower (width, order) found.
@@ -396,6 +425,11 @@ class _Dfs:
         root = _bound(self, sub, (), 0, root_lb, root_lb, 0)
         # a root its bound closes leaves nothing to search: lb is ub
         self.lb = root.f if root is not None else self.ub
+        if root is not None:
+            from .symmetry import automorphisms
+
+            self.autos = automorphisms(root.graph, self.stop)
+            self.root_set = root.graph.active_mask
         # Each entry is (children left, forbidden-list mark, branch vertex,
         # its neighborhood, the state it leads to).  The mark is the list's
         # length before the state was expanded.  Popping an entry pops the
@@ -497,10 +531,12 @@ def solve(
     finishes its order by minimum degree, and a component whose min-fill
     run starts after the stop is ordered by minimum degree from the
     start.  Each component's root minor-min-width runs before its
-    min-fill run and polls once per contraction round too.  So a solve
-    returns within the time limit plus, for each component, one
-    minimum-degree tail and one contraction round, plus one bounded
-    child or one filter step.  A root bound cut short keeps the degrees
+    min-fill run and polls once per contraction round too, and the
+    automorphism search of a component its root bound leaves open polls
+    once per refinement splitter.  So a solve returns within the time
+    limit plus, for each component, one minimum-degree tail and one
+    contraction round, plus one bounded child, one filter step or one
+    refinement split.  A root bound cut short keeps the degrees
     it recorded, at least the minimum degree, so only a solve stopped
     before a component's root bound finishes reports a weaker proven_lb.
     Every solve that is not cut short is deterministic for a given

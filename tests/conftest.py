@@ -2,13 +2,15 @@
 
 neighbors, adjacent, degree and fill_edges read a graph through
 g.edges() alone, so that they stay independent of the engine's masks.
-induced keeps a graph's ids and deactivates the rest.  run_reductions
+induced keeps a graph's ids and deactivates the rest, and shuffled
+relabels a graph by a seeded permutation.  run_reductions
 drives the solver's own forced-rule fixed point.
 """
 
 import itertools
+import random
 
-from twbb import Graph
+from twbb import Graph, mycielski
 from twbb.reduction import _reduce_masks
 
 
@@ -54,6 +56,14 @@ def petersen():
     )
 
 
+def myciel(k):
+    """DIMACS myciel<k>: the 5-cycle after k - 2 Mycielski steps."""
+    g = cycle(5)
+    for _ in range(k - 2):
+        g = mycielski(g)
+    return g
+
+
 def disjoint_union(*graphs):
     offset = 0
     edges = []
@@ -71,6 +81,12 @@ def induced(g, vertices):
         keep |= 1 << v
     adj = [g._adj[v] & keep if (keep >> v) & 1 else 0 for v in range(g.n)]
     return Graph._from_masks(g.n, adj, keep)
+
+
+def shuffled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def neighbors(g, v):

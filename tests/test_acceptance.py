@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import run_reductions
+from conftest import complete_bipartite, cycle, grid, petersen, run_reductions, shuffled
 from twbb import (
     Graph,
     PartialKTreeSpec,
@@ -42,6 +42,7 @@ from twbb import (
 )
 from twbb.cli import main as cli_main
 from twbb.oracle import exact_treewidth
+from twbb.symmetry import automorphisms
 
 TOGGLES = (
     "reductions",
@@ -77,10 +78,40 @@ def random_connected(n, count, seed):
     return out
 
 
+def symmetric_family():
+    """Connected graphs with nontrivial automorphism groups, on which the
+    memo also takes each dead set's images: cycles, circulants, complete
+    bipartite graphs, shuffled grids, Petersen, the 3-cube, the 3 x 3
+    queen graph, myciel3, and seeded random graphs on 7 to 10 vertices
+    that have an automorphism."""
+    graphs = [cycle(n) for n in range(3, 15)]
+    graphs += [
+        Graph(n, [(i, (i + d) % n) for i in range(n) for d in (1, k)])
+        for n in range(6, 13)
+        for k in range(2, n // 2 + 1)
+    ]
+    graphs += [complete_bipartite(a, b) for a in range(1, 6) for b in range(a, 12 - a)]
+    graphs += [shuffled(grid(r, c), r * c) for r, c in ((2, 5), (3, 3), (3, 4))]
+    graphs.append(petersen())
+    graphs.append(Graph(8, [(v, v ^ b) for v in range(8) for b in (1, 2, 4) if v < v ^ b]))
+    graphs += [queen_graph(3), mycielski(cycle5())]
+    rng = random.Random(30)
+    found = 0
+    while found < 60:
+        n = rng.randint(7, 10)
+        m = rng.randint(n - 1, n * (n - 1) // 2)
+        g = gen_random(RandomGraphSpec(n, m, seed=rng.randrange(1 << 30)))
+        if is_connected(g) and automorphisms(g):
+            graphs.append(g)
+            found += 1
+    return graphs
+
+
 @pytest.fixture(scope="module")
 def sweep():
-    """All connected graphs on up to 6 vertices plus seeded random
-    connected graphs at n = 7 and 8, each paired with its oracle treewidth."""
+    """All connected graphs on up to 6 vertices, seeded random connected
+    graphs at n = 7 and 8, and the symmetric family, each paired with its
+    oracle treewidth."""
     graphs = []
     for n in range(1, 7):
         pairs = list(itertools.combinations(range(n), 2))
@@ -91,6 +122,7 @@ def sweep():
     assert len(graphs) == 27476  # labeled connected graphs, n = 1..6
     for n in (7, 8):
         graphs.extend(random_connected(n, 200, seed=1000 + n))
+    graphs += symmetric_family()
     return [(g, exact_treewidth(g).treewidth) for g in graphs]
 
 

@@ -13,6 +13,7 @@ from conftest import (
     disjoint_union,
     fill_edges,
     grid,
+    myciel,
     path,
     petersen,
     star,
@@ -28,14 +29,13 @@ from twbb import (
     gen_random,
     min_fill_order,
     minor_min_width,
-    mycielski,
     prune_fill_subset,
     prune_mutual_simplicial,
     queen_graph,
     solve,
     width_of_order,
 )
-from twbb import solver
+from twbb import solver, symmetry
 from twbb.solver import SearchState
 from twbb.oracle import exact_treewidth
 
@@ -56,13 +56,6 @@ TOGGLES = (
     "prune_fill_subset",
     "successor_restriction",
 )
-
-
-def myciel(k):
-    g = cycle(5)
-    for _ in range(k - 2):
-        g = mycielski(g)
-    return g
 
 
 def check_report(g, r):
@@ -137,12 +130,12 @@ def test_disconnected_components():
 PINNED = [
     (
         myciel(4),
-        128,
+        52,
         (16, 18, 19, 17, 20, 5, 6, 14, 13, 8, 9, 3, 0, 1, 2, 4, 7, 10, 11, 12, 15, 21, 22),
     ),
     (
         queen_graph(5),
-        748,
+        136,
         (0, 14, 23, 7, 2, 3, 5, 9, 13, 16, 1, 4, 6, 8, 10, 11, 12, 15, 17, 18, 19, 20, 21, 22, 24),
     ),
     (
@@ -271,6 +264,33 @@ def test_memo_changes_no_width():
             r = solve(g, cfg)
             assert r.optimal and r.best_width == want
             check_report(g, r)
+
+
+def random_circulant(rng, n_lo, n_hi):
+    n = rng.randint(n_lo, n_hi)
+    steps = rng.sample(range(1, n // 2 + 1), rng.randint(2, max(2, n // 4)))
+    return Graph(n, [(i, (i + d) % n) for i in range(n) for d in steps])
+
+
+def test_memo_images_change_no_width(monkeypatch):
+    # Circulants are vertex-transitive, so the images of each dead set
+    # under their automorphisms close most of the search: these 30 take
+    # 395 nodes with the default settings, 3,042 without the images.  Each
+    # is solved again without them, and the widths must match.
+    rng = random.Random(31)
+    graphs = [random_circulant(rng, 12, 18) for _ in range(30)]
+    cfgs = (SolverConfig(), SolverConfig(prune_sibling_order=False))
+    reports = [[solve(g, cfg) for cfg in cfgs] for g in graphs]
+    monkeypatch.setattr(symmetry, "automorphisms", lambda g, stop=None: [])
+    nodes = [0, 0]
+    for g, rs in zip(graphs, reports):
+        for cfg, r in zip(cfgs, rs):
+            want = solve(g, cfg)
+            assert r.optimal and r.best_width == want.best_width
+            check_report(g, r)
+            nodes[0] += r.nodes_expanded
+            nodes[1] += want.nodes_expanded
+    assert nodes[0] < nodes[1] / 2, nodes
 
 
 def test_full_memo_takes_no_new_states(monkeypatch):
@@ -704,7 +724,7 @@ def test_deadline_cuts_a_root_expansion():
     check_report(g, r)
 
 
-def test_the_candidate_filters_poll_the_stop():
+def test_the_candidate_filters_poll_the_stop(monkeypatch):
     # The root of a 50 x 50 grid has 2,500 candidates, and both filters
     # are quadratic in the candidate count.  Before they polled stop(),
     # the longest gap between two polls of this solve was 2.97-4.66 s in
@@ -714,19 +734,30 @@ def test_the_candidate_filters_poll_the_stop():
     # bound leaves a margin of 3.5x over the new gap and is a third of
     # the old one.  The should_stop that records the polls is the
     # deadline itself, so that every poll after the deadline is seen
-    # too, up to the solve's return.
+    # too, up to the solve's return.  The root's expansion must start
+    # before the deadline, or the polls timed would be those of the
+    # heuristic, the root bound and the automorphism search; it started
+    # at 0.6-0.9 s without that search and at 0.7-1.2 s with it.
     perm = list(range(2500))
     random.Random(0).shuffle(perm)
     g = Graph(2500, [(perm[u], perm[v]) for u, v in grid(50, 50).edges()])
     t0 = time.monotonic()
     polls = [t0]
+    expansions = []
+    make_children = solver._make_children
+
+    def spy(search, s):
+        expansions.append(time.monotonic())
+        return make_children(search, s)
 
     def deadline():
         polls.append(time.monotonic())
         return polls[-1] >= t0 + 2.0
 
+    monkeypatch.setattr(solver, "_make_children", spy)
     r = solve(g, should_stop=deadline)
     polls.append(time.monotonic())
+    assert expansions and expansions[0] < t0 + 2.0
     gap = max(b - a for a, b in zip(polls, polls[1:]))
     assert gap < 1.0, f"{gap:.2f} s between two polls"
     assert not r.optimal
