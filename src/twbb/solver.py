@@ -7,18 +7,19 @@ f = max(g, h) reaches the best known width is discarded.  The first
 solution is a greedy upper bound, so interrupting the search at any point
 still yields a valid order; running to completion proves optimality.
 
-Candidate branches are filtered by four independent rules before
-elimination: restriction to non-neighbors of the last eliminated vertex,
-a forbidden list that stops re-eliminating a vertex already explored at
-an earlier sibling while its neighborhood is unchanged, keeping one
-minimum-degree member of each group of candidates whose eliminations
-leave each other forced (simplicial, or almost simplicial with degree
-at most the state's f), and dropping candidates whose fill edges contain
-a sibling's.  A candidate whose elimination degree already reaches the
-best width is closed before its child is built.  Surviving children are
-then shrunk by the forced-elimination and forced-edge rules, bounded,
-and explored by ascending f, ties going to the child with fewer vertices
-left, then to the lower branch vertex.
+Candidate branches pass four independent rules and two closes before
+elimination, in this order: restriction to non-neighbors of the last
+eliminated vertex; a forbidden list that stops re-eliminating a vertex
+already explored at an earlier sibling while its neighborhood is
+unchanged; the closes, which settle a candidate whose elimination degree
+already reaches the best width or whose child's vertex set is in the
+memo (below); then, on the candidates still open, keeping one
+minimum-degree member of each group whose eliminations leave each other
+forced (simplicial, or almost simplicial with degree at most the state's
+f), and dropping candidates whose fill edges contain a sibling's.  The
+survivors' children are built, shrunk by the forced-elimination and
+forced-edge rules, bounded, and explored by ascending f, ties going to
+the child with fewer vertices left, then to the lower branch vertex.
 
 The graph left after eliminating a set does not depend on the order in
 which the set was eliminated, so the search reaches the same state many
@@ -26,8 +27,9 @@ times.  A transposition table (the memo; Dow & Korf, "Best-First Search
 for Treewidth", AAAI 2007) is the set of dead vertex sets: sets whose
 remaining graph has no elimination order narrower than the current best
 width ub.  A candidate whose child's vertex set is in the memo is closed
-before its child is built, and a built child whose reduced vertex set is
-in it is closed like a child whose bound reached ub.
+before the filters see it, and a built child whose reduced vertex set is
+in it is closed before its second bound, like a child whose bound
+reached ub.
 
 Every finished branch is settled in one step (_Dfs.settle): its
 branch vertex is forbidden to its later siblings' subtrees, and its
@@ -67,11 +69,15 @@ restriction, mutual-simplicial and fill-subset keep a completion no
 wider than the ones they drop inside the branch's own subtree, whose
 branches were all settled earlier; for a closed child the forced rules
 keep the best completion below ub, so what holds after them holds
-before.  The forbidden list and the memo point to branches settled
-earlier too.  A completion's width is the larger of the branch's g and
-the width of its order of the remaining graph, so when g is below ub
-every such order is at least ub wide: the set is dead, and stays dead as
-ub only ever drops.
+before.  The two filters are sound on any subset of the candidates,
+since a candidate they drop has a completion no wider in the subtree of
+a kept one; so they may run on the open candidates only, the closed ones
+having no completion narrower than ub (their g reaches ub, or their set
+is in the memo).  The forbidden list and the memo point to branches
+settled earlier too.  A completion's width is the larger of the
+branch's g and the width of its order of the remaining graph, so when g
+is below ub every such order is at least ub wide: the set is dead, and
+stays dead as ub only ever drops.
 
 Each solve builds one _Search, which holds what spans components: the
 deadline, each component's best order and the improvement trace.  Each
@@ -275,16 +281,20 @@ def prune_fill_subset(candidates: list[int], g: Graph, stop=None) -> list[int]:
 
 
 def _bound(search, graph, prefix, g, f, h_pre, last_nb):
-    """Shrink a state by the forced rules and bound it; None once f >= search.ub.
+    """Shrink a state by the forced rules and bound it; None once it is closed.
 
     graph is what remains after prefix, of width g; f is the bound the
     state inherits and h_pre a lower bound for graph.  The enabled forced
     eliminations and edge additions run on a copy, and h is recomputed
-    only when they changed the graph.  Edges are added between vertices
-    with ub + 1 common neighbors, one more than the search strictly needs:
-    it only looks for widths below ub, which ub common neighbors already
-    force.  Threshold ub was measured on exact-small as a net loss: fewer
-    nodes, but more forced eliminations and edge sweeps per child.
+    only when they changed the graph, unless the reduced vertex set is in
+    search.memo: then the state is dead and None is returned too.
+    Without a forced elimination the set is graph's own, which the caller
+    has just looked up.
+    Edges are added between vertices with ub + 1 common neighbors, one
+    more than the search strictly needs: it only looks for widths below
+    ub, which ub common neighbors already force.  Threshold ub was
+    measured on exact-small as a net loss: fewer nodes, but more forced
+    eliminations and edge sweeps per child.
     """
     ub = search.ub
     if max(f, g, h_pre) >= ub:
@@ -296,6 +306,8 @@ def _bound(search, graph, prefix, g, f, h_pre, last_nb):
         adj, graph.active_mask, g, h_pre, ub if cfg.edge_addition else None, cfg.reductions
     )
     if forced or added:
+        if act in search.memo:
+            return None
         graph = Graph._from_masks(graph.n, adj, act)
         h = state_lower_bound(graph, cap=ub) if len(graph) >= 2 else 0
     if forced:
@@ -324,11 +336,13 @@ def _make_children(search, s: SearchState):
     children are (branch vertex, neighborhood at elimination, state)
     tuples in ascending (f, vertices left, vertex) order, so among
     children of equal f the one the forced rules shrank most is explored
-    first.  Every other candidate is settled here (see _Dfs.settle): one
-    whose elimination degree or the state's g reaches ub, or whose
-    child's vertex set is in the memo, before its child is built or
-    bounded, and a built child that its bound or the memo closes, keyed
-    by its vertex set before the forced rules.
+    first.  Every other candidate is settled here (see _Dfs.settle), keyed
+    by its child's vertex set before the forced rules: first one whose
+    elimination degree or the state's g reaches ub, or whose child's
+    vertex set is in the memo, so that only the open candidates reach the
+    two filters; then, after them, one whose vertex set a sibling's settle
+    has since put in the memo, and a built child that _bound closes, on
+    its f or on its reduced vertex set being in the memo.
     """
     cfg, forb, ub, memo = search.cfg, search.forb, search.ub, search.memo
     g = s.graph
@@ -339,6 +353,19 @@ def _make_children(search, s: SearchState):
     cands = list(bits(cand_mask))
     if forb:
         cands = [v for v in cands if (v, adj[v]) not in forb]
+    # (neighborhood, g, vertex set) of each candidate still open
+    opened = {}
+    for v in cands:
+        if search.stop():
+            return None
+        nbv = adj[v]
+        gv = max(s.g, nbv.bit_count())
+        key = active & ~(1 << v)
+        if gv < ub and key not in memo:
+            opened[v] = nbv, gv, key
+        else:
+            search.settle(v, nbv, key, gv)
+    cands = list(opened)
     if cfg.prune_mutual_simplicial and len(cands) > 1:
         cands = prune_mutual_simplicial(cands, g, s.f, search.stop)
     if cfg.prune_fill_subset and len(cands) > 1:
@@ -348,14 +375,13 @@ def _make_children(search, s: SearchState):
     for v in cands:
         if search.stop():
             return None
-        nbv = adj[v]
-        gv = max(s.g, nbv.bit_count())
-        key = active & ~(1 << v)
-        if gv < ub and key not in memo:
+        nbv, gv, key = opened[v]
+        # a sibling settled since the closing pass may have put key in the memo
+        if key not in memo:
             child = g.eliminate(v)
             h_pre = state_lower_bound(child, cap=ub)
             state = _bound(search, child, s.prefix + (v,), gv, s.f, h_pre, nbv)
-            if state is not None and state.graph.active_mask not in memo:
+            if state is not None:
                 children.append((v, nbv, state))
                 continue
         search.settle(v, nbv, key, gv)

@@ -4,7 +4,7 @@ import random
 import time
 
 import pytest
-from conftest import clique, cycle, degree, induced, path, petersen, star
+from conftest import clique, cycle, degree, grid, induced, path, petersen, shuffled, star
 from twbb import (
     Graph,
     GraphError,
@@ -166,6 +166,9 @@ def test_minor_min_width_matches_reference():
         assert minor_min_width(g) == want
         for cap in (2, 5, 9):
             assert min(minor_min_width(g, cap=cap), cap) == min(want, cap)
+    # too large for the reference: the values a scan per round gave
+    assert minor_min_width(large_tree()) == 1
+    assert minor_min_width(shuffled(grid(100, 100), 100)) == 5
 
 
 def test_least_c_beats_min_degree_neighbor():
@@ -229,20 +232,26 @@ def test_sweep_bounds_match_references():
             assert mcs_lb(g, s) == mcs_reference(keep, sub, s)
 
 
-def test_sweep_bounds_are_fast_on_a_large_tree():
-    # A tree on 20,000 vertices with shuffled ids, as `tw bounds` runs it.
-    # When mcs_lb scanned a list of the unlabeled ids to choose each
-    # vertex, it took 7.0 s here alone; with count buckets kept as masks,
-    # like the minimum-degree sweep's, minwidth_lb and mcs_lb take 0.25 s
-    # and 0.11 s (2-core Xeon, Python 3.11).  The 2 s bound is 5x the new
-    # total and under a third of the old mcs_lb alone.
+def large_tree():
+    """A random tree on 20,000 vertices with shuffled ids, as `tw bounds` runs it."""
     n = 20000
     perm = list(range(n))
     rng = random.Random(0)
     rng.shuffle(perm)
-    g = Graph(n, [(perm[i], perm[rng.randrange(i)]) for i in range(1, n)])
+    return Graph(n, [(perm[i], perm[rng.randrange(i)]) for i in range(1, n)])
+
+
+def test_sweep_bounds_are_fast_on_a_large_tree():
+    # When mcs_lb scanned a list of the unlabeled ids to choose each
+    # vertex, it took 7.0 s here alone, and minor_min_width 7.3 s; with
+    # degree or count buckets kept as masks, like the minimum-degree
+    # sweep's, minwidth_lb, mcs_lb and minor_min_width take 0.25 s, 0.11 s
+    # and 0.3 s (2-core Xeon, Python 3.11).  The 2 s bound is about 3x
+    # the new total and under a third of either old scan alone.
+    g = large_tree()
     t0 = time.perf_counter()
     assert minwidth_lb(g) == 1
     assert mcs_lb(g) == 1
+    assert minor_min_width(g) == 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 2.0, f"{elapsed:.2f} s"

@@ -123,34 +123,40 @@ def test_disconnected_components():
     check_report(g, r)
 
 
-# Node counts and orders under one min-fill run.  A change that alters
-# them on purpose updates this table and names the cause in CHANGES.md.
-# The memo only closes subtrees that cannot beat the best width, so it
-# moves counts but never an order.
+# Node counts, state_lower_bound calls (the root bound included) and
+# orders under one min-fill run.  A change that alters them on purpose
+# updates this table and names the cause in CHANGES.md.  The memo only
+# closes subtrees that cannot beat the best width, so it moves counts but
+# never an order.
 PINNED = [
     (
         myciel(4),
         52,
+        104,
         (16, 18, 19, 17, 20, 5, 6, 14, 13, 8, 9, 3, 0, 1, 2, 4, 7, 10, 11, 12, 15, 21, 22),
     ),
     (
         queen_graph(5),
         136,
+        280,
         (0, 14, 23, 7, 2, 3, 5, 9, 13, 16, 1, 4, 6, 8, 10, 11, 12, 15, 17, 18, 19, 20, 21, 22, 24),
     ),
     (
         gen_random(RandomGraphSpec(25, 50, 5)),
         53,
+        118,
         (11, 17, 18, 19, 21, 23, 16, 22, 10, 14, 12, 20, 5, 8, 7, 13, 1, 0, 2, 3, 4, 6, 9, 15, 24),
     ),
     (
         gen_random(RandomGraphSpec(25, 50, 6)),
         25,
+        64,
         (8, 10, 22, 1, 3, 7, 19, 5, 16, 6, 13, 23, 12, 18, 0, 20, 11, 14, 15, 2, 4, 9, 17, 21, 24),
     ),
     (
         gen_random(RandomGraphSpec(25, 50, 10)),
         116,
+        260,
         (2, 4, 19, 1, 7, 10, 13, 15, 22, 8, 5, 18, 6, 16, 21, 17, 0, 14, 20, 3, 9, 11, 12, 23, 24),
     ),
 ]
@@ -198,20 +204,35 @@ def test_component_orders_are_mapped_back():
 
 
 @pytest.mark.parametrize(
-    "g,nodes,order", PINNED, ids=["myciel4", "queen5", "g25-50-s5", "g25-50-s6", "g25-50-s10"]
+    "g,nodes,bounds,order",
+    PINNED,
+    ids=["myciel4", "queen5", "g25-50-s5", "g25-50-s6", "g25-50-s10"],
 )
-def test_search_is_pinned(g, nodes, order):
+def test_search_is_pinned(monkeypatch, g, nodes, bounds, order):
+    calls = []
+    lower_bound = solver.state_lower_bound
+
+    def count(graph, cap=None, stop=None):
+        calls.append(graph)
+        return lower_bound(graph, cap=cap, stop=stop)
+
+    monkeypatch.setattr(solver, "state_lower_bound", count)
     r = solve(g, SolverConfig())
     assert r.optimal
     assert r.nodes_expanded == nodes
+    assert len(calls) == bounds
     assert r.best_order.vertices == order
 
 
 def test_children_lost_on_degree_are_never_bounded(monkeypatch):
-    # a candidate whose elimination degree or the state's g reaches ub is
-    # closed before its child is built, so no bound runs on that child
+    # a candidate whose elimination degree or the state's g reaches ub, or
+    # whose child's vertex set is in the memo, is closed before the two
+    # filters see it and before its child is built; a reduced child whose
+    # vertex set is in the memo gets no second bound
     parent = []
     checked = []
+    filtered = []
+    reduced = []
     make_children = solver._make_children
     lower_bound = solver.state_lower_bound
 
@@ -230,13 +251,29 @@ def test_children_lost_on_degree_are_never_bounded(monkeypatch):
                 v = gone.bit_length() - 1
                 assert max(s.g, s.graph._adj[v].bit_count()) < search.ub
                 checked.append(v)
+            elif gone.bit_count() > 1:
+                assert graph.active_mask not in search.memo
+                reduced.append(graph)
         return lower_bound(graph, cap=cap, stop=stop)
+
+    def spy_filter(prune):
+        def spy(candidates, g, *args):
+            search, s = parent[-1]
+            for v in candidates:
+                assert max(s.g, g._adj[v].bit_count()) < search.ub
+                assert s.graph.active_mask & ~(1 << v) not in search.memo
+            filtered.extend(candidates)
+            return prune(candidates, g, *args)
+
+        return spy
 
     monkeypatch.setattr(solver, "_make_children", spy_children)
     monkeypatch.setattr(solver, "state_lower_bound", spy_bound)
-    for g, nodes, _ in PINNED:
+    for name in ("prune_mutual_simplicial", "prune_fill_subset"):
+        monkeypatch.setattr(solver, name, spy_filter(getattr(solver, name)))
+    for g, nodes, _, _ in PINNED:
         assert solve(g).nodes_expanded == nodes
-    assert checked
+    assert checked and filtered and reduced
 
 
 def random_graph(rng, n_lo, n_hi):
@@ -306,7 +343,7 @@ def test_full_memo_takes_no_new_states(monkeypatch):
         return make_children(search, s)
 
     monkeypatch.setattr(solver, "_make_children", spy)
-    for g, _, order in PINNED[1:]:
+    for g, _, _, order in PINNED[1:]:
         r = solve(g)
         assert r.optimal and r.best_width == width_of_order(g, order)
     sizes += map(len, memos)
@@ -362,7 +399,7 @@ def test_children_the_memo_covers_are_never_built(monkeypatch):
     monkeypatch.setattr(solver._Dfs, "settle", spy_settle)
     monkeypatch.setattr(Graph, "eliminate", spy_eliminate)
     monkeypatch.setattr(solver, "state_lower_bound", spy_bound)
-    for g, nodes, _ in PINNED:
+    for g, nodes, _, _ in PINNED:
         assert solve(g).nodes_expanded == nodes
     assert hits
 
@@ -539,7 +576,7 @@ def test_settling_keeps_the_forbidden_list_exact(monkeypatch):
     monkeypatch.setattr(solver, "_make_children", spy_children)
     monkeypatch.setattr(solver._Dfs, "settle", spy_settle)
     monkeypatch.setattr(solver._Dfs, "run", spy_run)
-    graphs = [g for g, _, _ in PINNED] + list(forced_edge_family())
+    graphs = [g for g, _, _, _ in PINNED] + list(forced_edge_family())
     graphs.append(disjoint_union(petersen(), gen_random(RandomGraphSpec(25, 50, 6))))
     # min-fill gives 7 here; the first leaf meets the root bound 6 after
     # three of the root's candidates were settled, which ends the search
