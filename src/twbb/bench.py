@@ -57,9 +57,9 @@ def run_family(spec, count: int = 30, cfg: SolverConfig | None = None):
 
     The instances are spec itself and its copies with the next count - 1
     seeds.  mf_width is the width of the whole graph's min-fill order,
-    computed apart from the solve like the three lower bounds, so a
-    deadline that cuts the solve's own min-fill run short does not
-    change it.
+    computed apart from the solve like the three lower bounds, so it
+    does not depend on whether the solve ran min-fill or a deadline cut
+    that run short.
     """
     if count < 1:
         raise GraphError(f"count must be at least 1: {count}")

@@ -23,9 +23,9 @@ def minwidth_lb(g: Graph) -> int:
     """Max degree at removal time under repeated minimum-degree removal.
 
     Each round removes a minimum-degree vertex (ties lowest id) without
-    adding fill.  The rounds are graph.min_degree_sweep, the sweep that
-    finishes min-fill's tail, with removal in place of elimination, so a
-    round costs time in the removed vertex's neighborhood.
+    adding fill.  The rounds are graph.min_degree_sweep, the sweep of
+    heuristics.min_degree_order, with removal in place of elimination, so
+    a round costs time in the removed vertex's neighborhood.
     """
     adj = list(g._adj)
     value = 0

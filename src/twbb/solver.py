@@ -127,7 +127,8 @@ class SolverConfig:
     """Search settings; every rule can be toggled independently.
 
     time_limit is in seconds, None for no limit.  The initial upper
-    bound is always one min-fill run, and every state is bounded by
+    bound is always one minimum-degree order, with a min-fill run when
+    that order misses the root bound, and every state is bounded by
     minor-min-width.  The memo of dead vertex sets (see the module
     docstring) is always on: it only closes children that cannot beat the
     best width.
@@ -553,18 +554,20 @@ def solve(
     both are checked once per elimination of each component's min-fill
     run, between branch candidates, at node boundaries and inside the
     two candidate filters, once per candidate or reached vertex; a
-    filter cut short keeps every candidate.  A stop during min-fill
-    finishes its order by minimum degree, and a component whose min-fill
-    run starts after the stop is ordered by minimum degree from the
-    start.  Each component's root minor-min-width runs before its
-    min-fill run and polls once per contraction round too, and the
+    filter cut short keeps every candidate.  Each component's first
+    order is one minimum-degree sweep, which is not polled; min-fill
+    runs after it only when that order is wider than the component's
+    root bound, and a stop abandons min-fill, keeping the
+    minimum-degree order.  Each component's root minor-min-width runs
+    before both and polls once per contraction round too, and the
     automorphism search of a component its root bound leaves open polls
     once per refinement splitter.  So a solve returns within the time
-    limit plus, for each component, one minimum-degree tail and one
-    contraction round, plus one bounded child, one filter step or one
-    refinement split.  A root bound cut short keeps the degrees
-    it recorded, at least the minimum degree, so only a solve stopped
-    before a component's root bound finishes reports a weaker proven_lb.
+    limit plus, for each component, one minimum-degree sweep and one
+    contraction round, plus one min-fill elimination, one bounded child,
+    one filter step or one refinement split.  A root bound cut short
+    keeps the degrees it recorded, at least the minimum degree, so only a
+    solve stopped before a component's root bound finishes reports a
+    weaker proven_lb.
     Every solve that is not cut short is deterministic for a given
     configuration.
     """
@@ -573,7 +576,7 @@ def solve(
     lbs = []
     for ids, sub in comps:
         lbs.append(state_lower_bound(sub, stop=search.stop))
-        order = best_upper_bound(sub, search.stop)
+        order = best_upper_bound(sub, search.stop, lbs[-1])
         search.best.append((order.width, order.vertices))
         search.ids.append(ids)
     search.emit()

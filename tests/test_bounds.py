@@ -216,7 +216,7 @@ def test_sweep_bounds_match_references():
     # mcs_lb's value depends on its tie rule: ties to the highest id fail
     # here.  minwidth_lb's does not (it is the largest minimum degree of
     # any subgraph, whichever vertex each round removes), so the order of
-    # the shared minimum-degree sweep is pinned by min-fill's tail tests.
+    # the shared minimum-degree sweep is pinned by min_degree_order's tests.
     rng = random.Random(13)
     for _ in range(2000):
         n = rng.randint(0, 30)

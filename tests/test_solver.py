@@ -35,7 +35,8 @@ from twbb import (
     solve,
     width_of_order,
 )
-from twbb import solver, symmetry
+from twbb import heuristics, solver, symmetry
+from twbb.heuristics import min_degree_order
 from twbb.solver import SearchState
 from twbb.oracle import exact_treewidth
 
@@ -124,10 +125,10 @@ def test_disconnected_components():
 
 
 # Node counts, state_lower_bound calls (the root bound included) and
-# orders under one min-fill run.  A change that alters them on purpose
-# updates this table and names the cause in CHANGES.md.  The memo only
-# closes subtrees that cannot beat the best width, so it moves counts but
-# never an order.
+# orders from the first solution best_upper_bound gives.  A change that
+# alters them on purpose updates this table and names the cause in
+# CHANGES.md.  The memo only closes subtrees that cannot beat the best
+# width, so it moves counts but never an order.
 PINNED = [
     (
         myciel(4),
@@ -593,9 +594,9 @@ def test_root_bounds_run_before_min_fill(monkeypatch):
     started = []
     upper_bound = solver.best_upper_bound
 
-    def spy(sub, stop=None):
+    def spy(sub, stop=None, lb=None):
         started.append(sub)
-        return upper_bound(sub, stop)
+        return upper_bound(sub, stop, lb)
 
     monkeypatch.setattr(solver, "best_upper_bound", spy)
     r = solve(g, should_stop=lambda: bool(started))
@@ -605,33 +606,36 @@ def test_root_bounds_run_before_min_fill(monkeypatch):
     check_report(g, r)
 
 
-def test_a_stop_cuts_min_fill_short():
+def test_a_stop_cuts_min_fill_short(monkeypatch):
     # finishing min-fill here takes seconds; the stop is polled once per
-    # elimination and a minimum-degree tail finishes the order
+    # elimination, and once it fires min-fill is abandoned for the
+    # minimum-degree order, with no elimination after the stop
     g = gen_random(RandomGraphSpec(600, 3000, seed=0))
-
-    def stop_after(k):
-        polls = []
-
-        def stop():
-            polls.append(None)
-            return len(polls) > k
-
-        return stop, polls
-
+    md = min_degree_order(g)
     # the root bound runs first; count its polls with a stop that never fires
     root = []
     lb = minor_min_width(g, stop=lambda: root.append(None))
-    stop, polls = stop_after(len(root) + 30)
+    assert md.width > lb
+    polls = []
+    late = []
+    eliminate = heuristics._eliminate_in_place
+
+    def stop():
+        polls.append(None)
+        return len(polls) > len(root) + 30
+
+    def spy(adj, v):
+        late.append(len(polls) > len(root) + 30)
+        eliminate(adj, v)
+
+    monkeypatch.setattr(heuristics, "_eliminate_in_place", spy)
     r = solve(g, should_stop=stop)
     # the root bound's polls, 31 in min-fill, one before the search
     assert len(polls) == len(root) + 32
+    # the minimum-degree sweep, then 30 min-fill eliminations
+    assert late == [False] * (g.n + 30)
     assert r.nodes_expanded == 0 and not r.optimal and r.proven_lb == lb
-    assert r.best_order.vertices == min_fill_order(g, stop_after(30)[0]).vertices
-    # after 30 eliminations min-fill's order is not the minimum-degree
-    # one, which it still is after 20
-    assert r.best_order.vertices != min_fill_order(g, lambda: True).vertices
-    assert width_of_order(g, r.best_order.vertices) == r.best_width
+    assert r.best_order == md
     check_report(g, r)
 
 
@@ -842,12 +846,13 @@ def test_the_anytime_contract_holds_at_every_poll():
 
 
 def test_improvement_callback():
-    # min-fill gives 4 here and the treewidth is 3
-    g = gen_random(RandomGraphSpec(9, 16, seed=554))
+    # min-degree and min-fill both give 5 here and the treewidth is 4
+    g = gen_random(RandomGraphSpec(10, 20, seed=13))
+    assert min_degree_order(g).width == min_fill_order(g).width == 5
     seen = []
     r = solve(g, on_improvement=lambda t, w, order: seen.append((t, w, order)))
-    assert [w for _, w in r.anytime_trace] == [4, 3]
-    assert r.optimal and exact_treewidth(g).treewidth == 3
+    assert [w for _, w in r.anytime_trace] == [5, 4]
+    assert r.optimal and exact_treewidth(g).treewidth == 4
     assert [(t, w) for t, w, _ in seen] == r.anytime_trace
     for _, w, order in seen:
         assert width_of_order(g, order) == w
